@@ -6,7 +6,6 @@ studies the field under experimentally motivated distortions: time delay,
 sample-and-hold pulse trains, and bang-bang quantization.
 """
 
-from ._kernels import USING_NUMBA
 from .control_law import (
     ConvergenceReport,
     LyapunovSpec,
@@ -59,7 +58,6 @@ from .shaping import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "USING_NUMBA",
     "__version__",
     "BangBangSpec",
     "ConfigError",

@@ -1,8 +1,9 @@
 """Thread-based trial parallelism.
 
-The compiled kernels release the GIL, so independent trials scale across a
-ThreadPoolExecutor. Results are always merged in submission order, never by
-completion order, so parallel and serial execution agree bit for bit.
+Independent trials run on a ThreadPoolExecutor. The kernels are short numpy
+calls that mostly hold the GIL, so threads overlap little. Results are always
+merged in submission order, never by completion order, so parallel and serial
+execution agree bit for bit.
 LYAPSIM_THREADS caps the worker count; unset means the machine default.
 """
 

@@ -84,8 +84,8 @@ def write_sweep_csv(points, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def write_scaling_csv(result, path) -> None:
-    lines = ["dim,mean_convergence_time,n_nonconverged,mean_F_at_150"]
+def write_scaling_csv(result, path, fidelity_time: float) -> None:
+    lines = [f"dim,mean_convergence_time,n_nonconverged,mean_F_at_{fidelity_time:g}"]
     for r in result.rows:
         lines.append(
             f"{r.dim},{_fmt(r.mean_convergence_time)},{r.n_nonconverged},{_fmt(r.mean_fidelity)}"
@@ -287,7 +287,7 @@ def _cmd_pulse_sweep(cfg: ExperimentConfig, out_dir: Path) -> str:
 
 def _cmd_dim_scaling(cfg: ExperimentConfig, out_dir: Path) -> str:
     result = run_dimension_scaling(cfg)
-    write_scaling_csv(result, out_dir / "scaling.csv")
+    write_scaling_csv(result, out_dir / "scaling.csv", cfg.fidelity_time)
     _write_manifest(out_dir, "dim-scaling", cfg, ["scaling.csv"])
     mean = float(np.mean([r.mean_fidelity for r in result.rows]))
     return f"dim-scaling: mean fidelity at t={cfg.fidelity_time:g} is {mean:.6f} across {len(result.rows)} dims"

@@ -278,6 +278,7 @@ def simulate(
         fields = np.zeros(n_steps + 1)
         states[0] = psi0
         history = History(dt)
+        stepper = _kernels.Stepper(sys.h0, sys.h1, sys.target, sys.h1_target(), dt)
         for i in range(n_steps + 1):
             psi = states[i]
             history.append(psi)
@@ -285,13 +286,13 @@ def simulate(
             fields[i] = f
             if i == n_steps:
                 break
-            nxt, drift = _kernels.rk4_step(sys.h0, sys.h1, f, dt, psi)
+            stepper.load(psi)
+            drift = stepper.advance(f, states[i + 1])
             if not (drift <= NORM_DRIFT_GUARD):
                 raise NumericalError(
                     f"norm drift {drift:.3e} exceeded {NORM_DRIFT_GUARD:.0e} at step {i} "
                     f"(t={i * dt:.4g}); dt is likely too large for this field law"
                 )
-            states[i + 1] = nxt
 
     times = np.arange(n_steps + 1) * dt
     law._after_run(times, fields)

@@ -10,6 +10,7 @@ results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -214,6 +215,8 @@ def _coerce(key: str, value):
     if key in _FLOAT_KEYS:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key}: expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
         return float(value)
     if key == "taus":
         return _coerce_list(key, value, float)
@@ -231,6 +234,8 @@ def _coerce_list(key, value, kind):
     for i, item in enumerate(value):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ConfigError(f"{key}[{i}]: expected a number, got {item!r}")
+        if not math.isfinite(item):
+            raise ConfigError(f"{key}[{i}]: expected a finite number, got {item!r}")
         if kind is int and int(item) != item:
             raise ConfigError(f"{key}[{i}]: expected an integer, got {item!r}")
         out.append(kind(item))
@@ -279,6 +284,16 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"dims[{i}]: must be >= 2, got {d}")
     if sorted(cfg.dims) != cfg.dims:
         raise ConfigError("dims: must be ascending")
+    if cfg.preset == "fig5":
+        _check_fidelity_time(cfg)
+
+
+def _check_fidelity_time(cfg: ExperimentConfig) -> None:
+    # Only the scaling study reads fidelity_time; other presets may run shorter.
+    if cfg.fidelity_time > cfg.horizon:
+        raise ConfigError(
+            f"fidelity_time: must be <= horizon, got {cfg.fidelity_time} > {cfg.horizon}"
+        )
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -307,10 +322,7 @@ def run_dimension_scaling(cfg: ExperimentConfig) -> ScalingResult:
     counted at the horizon and flagged in n_nonconverged rather than dropped,
     which would bias the means upward.
     """
-    if cfg.fidelity_time > cfg.horizon:
-        raise ConfigError(
-            f"fidelity_time: must be <= horizon, got {cfg.fidelity_time} > {cfg.horizon}"
-        )
+    _check_fidelity_time(cfg)
     tasks = [
         (cfg.seed, dim, trial, cfg.horizon, cfg.dt, cfg.threshold, cfg.fidelity_time)
         for dim in cfg.dims

@@ -150,6 +150,34 @@ class TestMain:
         assert lines[0] == "dim,mean_convergence_time,n_nonconverged,mean_F_at_150"
         assert len(lines) == 3
 
+    def test_scaling_column_names_fidelity_time(self, tmp_path, capsys):
+        out = tmp_path / "scaling"
+        assert main(["dim-scaling", "--dims", "4", "--n-states", "1", "--horizon", "10",
+                     "--config", str(self._config(tmp_path, '{"fidelity_time":5}')),
+                     "--out", str(out)]) == 0
+        header = (out / "scaling.csv").read_text().splitlines()[0]
+        assert header == "dim,mean_convergence_time,n_nonconverged,mean_F_at_5"
+
+    @staticmethod
+    def _config(tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        return path
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("simulate", '{"preset":"fig1","tau":NaN}', "tau"),
+            ("bang-bang", '{"preset":"fig4","deadband":Infinity}', "deadband"),
+            ("delay-sweep", '{"taus":[0.5,-Infinity]}', "taus[1]"),
+        ],
+    )
+    def test_non_finite_values_are_config_errors(self, command, text, key, tmp_path, capsys):
+        code = main([command, "--config", str(self._config(tmp_path, text)),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"error: {key}:" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         out = tmp_path / "boom"
         code = main(["simulate", "--preset", "custom", "--gain-k", "1e9",

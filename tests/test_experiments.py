@@ -178,6 +178,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"dims\[1\]"):
             build_config({"dims": [4, 1]})
 
+    def test_fidelity_time_beyond_horizon_rejected(self):
+        with pytest.raises(ConfigError, match="fidelity_time"):
+            build_config({"preset": "fig5", "horizon": 100.0})
+
     def test_round_trip(self):
         cfg = build_config({"preset": "fig3", "seed": 11, "pulse_counts": [10, 50], "dt": 0.02})
         assert build_config(config_to_dict(cfg)) == cfg
