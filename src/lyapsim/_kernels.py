@@ -22,6 +22,11 @@ consecutive norms, so the first step that fails the guard is reported as in
 the per-step path. L is capped at BLOCK_CAP: the partition depends only on
 the law, and a block holds at most BLOCK_CAP * d^2 complex numbers.
 
+The feedback, history and Taylor laws run in `_per_step`, which inlines
+`Stepper.load` and `Stepper.advance` (locals for the stepper's buffers, one
+reused monomial array) with the same numpy calls in the same order, so its
+states are bitwise those of the generic path's Stepper calls.
+
 The classic four-stage `rk4_step` is kept as the reference the polynomial
 map is tested against.
 """
@@ -247,24 +252,40 @@ def simulate_loop(
 
 
 def _per_step(stepper, states, fields, gain_k, law_kind, delay_steps, tau, drift_tol):
-    """Feedback, history and Taylor laws: one load + advance per step."""
+    """Feedback, history and Taylor laws: Stepper.load + advance, inlined."""
     n_steps = len(fields) - 1
+    big, z, zk, overlaps = stepper._big, stepper._z, stepper._zk, stepper._overlaps
+    nxt, nxt_r = stepper._next, stepper._next_r
+    dot, divide, sqrt = np.dot, np.divide, math.sqrt
+    mono = np.ones(5)  # [1, f, f^2, f^3, f^4], as _monomials(f)
+    taylor = law_kind == LAW_TAYLOR
+    history = law_kind == LAW_DELAY_HISTORY
     raw = deque(maxlen=delay_steps + 1)  # raw feedback of the last delay_steps + 1 steps
+    psi = states[0]
     for i in range(n_steps + 1):
-        z = stepper.load(states[i])
-        if law_kind == LAW_TAYLOR:
-            fv, df, d2f = _taylor(z, gain_k)
+        dot(big, psi, out=z)
+        if taylor:
+            fv, df, d2f = _taylor(overlaps.tolist(), gain_k)
             f = fv - df * tau + 0.5 * d2f * tau * tau
         else:
-            f = _feedback(z[0], z[1], gain_k)
-            if law_kind == LAW_DELAY_HISTORY:
+            a, c = overlaps.tolist()
+            f = -gain_k * (a * c.conjugate()).imag  # _feedback(a, c, gain_k)
+            if history:
                 raw.append(f)
                 f = raw[0] if i >= delay_steps else 0.0
         fields[i] = f
         if i == n_steps:
             break
-        drift = stepper.advance(f, states[i + 1])
-        if not (drift <= drift_tol):  # catches NaN as well
+        f2 = f * f
+        mono[1] = f
+        mono[2] = f2
+        mono[3] = f2 * f
+        mono[4] = f2 * f2
+        dot(mono, zk, out=nxt_r)
+        nrm = sqrt(nxt_r.dot(nxt_r))
+        psi = states[i + 1]
+        divide(nxt, nrm if nrm > 0.0 else 1.0, out=psi)
+        if not (abs(nrm - 1.0) <= drift_tol):  # catches NaN as well
             return i
     return -1
 

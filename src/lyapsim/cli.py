@@ -7,7 +7,8 @@ the fully resolved config, base seed and sha256 checksums of the outputs, so
 a run is reproducible byte for byte from its manifest. Summary statistics go
 to stdout; bulk data goes to files.
 
-Exit codes: 0 success, 1 config error, 2 numerical failure, 3 I/O error.
+Exit codes: 0 success, 1 config error, 2 numerical failure, 3 I/O error,
+4 internal error (any other exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -54,25 +55,23 @@ def _fmt(x: float) -> str:
 
 
 def write_trajectory_csv(traj: Trajectory, path, full_state: bool = False) -> None:
-    """Write t,f,V,F rows (plus per-component re/im columns if requested)."""
+    """Write t,f,V,F rows (plus per-component re/im columns if requested).
+
+    The whole table is formatted by one %-operation; '%.17g' % x and
+    format(x, ".17g") are the same float conversion, so the cells are those
+    of _fmt.
+    """
     header = ["t", "f", "V", "F"]
+    columns = [traj.times, traj.fields, traj.lyapunov, traj.fidelity]
     if full_state:
         dim = traj.states.shape[1]
-        for i in range(1, dim + 1):
-            header += [f"re_psi_{i}", f"im_psi_{i}"]
-    lines = [",".join(header)]
-    for row in range(len(traj)):
-        cells = [
-            _fmt(traj.times[row]),
-            _fmt(traj.fields[row]),
-            _fmt(traj.lyapunov[row]),
-            _fmt(traj.fidelity[row]),
-        ]
-        if full_state:
-            for amp in traj.states[row]:
-                cells += [_fmt(amp.real), _fmt(amp.imag)]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+        header += [f"{part}_psi_{i}" for i in range(1, dim + 1) for part in ("re", "im")]
+        # The float view interleaves re/im per component, matching the header.
+        columns.append(np.ascontiguousarray(traj.states, dtype=np.complex128).view(np.float64))
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1])
+    body = "\n".join([row] * len(table)) % tuple(table.ravel().tolist())
+    Path(path).write_text(",".join(header) + "\n" + body + "\n", newline="\n")
 
 
 def write_sweep_csv(points, path) -> None:
@@ -336,6 +335,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

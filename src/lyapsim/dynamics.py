@@ -11,6 +11,7 @@ independent reference for the integrator.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,6 +226,21 @@ def _step_count(horizon: float, dt: float) -> int:
     return int(math.floor(horizon / dt + 1e-9))
 
 
+def _check_state_memory(n_steps: int, dim: int, horizon: float, dt: float) -> None:
+    """Refuse a run whose recorded states would not fit in physical memory."""
+    need = (n_steps + 1) * dim * 16
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # the OS does not say
+    if need > have:
+        raise InputError(
+            f"horizon={horizon:g} with dt={dt:g} records {n_steps + 1} states of "
+            f"dimension {dim} ({need / 2**30:.3g} GiB), more than the "
+            f"{have / 2**30:.3g} GiB of physical memory; shorten horizon or raise dt"
+        )
+
+
 def simulate(
     sys: ControlSystem,
     law: FieldLaw,
@@ -244,6 +260,7 @@ def simulate(
     psi0 = linalg.as_state(psi0)
     if psi0.shape[0] != sys.dim:
         raise InputError(f"state dimension {psi0.shape[0]} != system dimension {sys.dim}")
+    _check_state_memory(n_steps, sys.dim, horizon, dt)
     dt = float(dt)
 
     plan = law._prepare(sys, psi0, n_steps, dt)

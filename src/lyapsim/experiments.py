@@ -4,8 +4,8 @@ Provides the 5-level benchmark system, random initial states and random
 diagonal-H0 instances for the dimension-scaling study, the sustained-crossing
 convergence-time metric, and the run configurations the CLI consumes. All
 randomness derives from numpy SeedSequence streams keyed by (base seed,
-namespace indices), so parallel and serial execution produce identical
-results.
+namespace indices), so a trial's result depends only on its own key, not on
+which other trials run or in what order.
 """
 
 from __future__ import annotations
@@ -101,24 +101,15 @@ def convergence_time(traj: Trajectory, threshold: float = 0.95):
     threshold for every recorded sample up to min(t + CONVERGENCE_HOLD,
     horizon); a bare first crossing can sit on a transient oscillation.
     """
-    fid = traj.fidelity
     times = traj.times
-    n = len(times)
-    ok = fid >= threshold
-    # next_below[i]: first index >= i where fidelity dips below threshold.
-    next_below = np.empty(n + 1, dtype=np.int64)
-    next_below[n] = n
-    for i in range(n - 1, -1, -1):
-        next_below[i] = i if not ok[i] else next_below[i + 1]
-    horizon = times[-1]
-    for i in range(n):
-        if not ok[i]:
-            continue
-        window_end = min(times[i] + CONVERGENCE_HOLD, horizon)
-        j = next_below[i]
-        if j == n or times[j] > window_end + 1e-12:
-            return float(times[i])
-    return None
+    ok = traj.fidelity >= threshold
+    starts = np.flatnonzero(ok)
+    # Time of the first dip below threshold after each start; inf if none follows.
+    dip_times = np.append(times[~ok], np.inf)
+    next_dip = dip_times[np.searchsorted(np.flatnonzero(~ok), starts)]
+    window_end = np.minimum(times[starts] + CONVERGENCE_HOLD, times[-1])
+    held = starts[next_dip > window_end + 1e-12]
+    return float(times[held[0]]) if len(held) else None
 
 
 @dataclass

@@ -3,13 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from lyapsim import ConfigError, build_config, feedback_law, preset_5dim, simulate
+from lyapsim import ConfigError, Trajectory, build_config, feedback_law, preset_5dim, simulate
+from lyapsim import cli
 from lyapsim.cli import (
     main,
     parse_config,
     serialize_config,
     write_trajectory_csv,
 )
+
+from helpers import reference_trajectory_csv
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +80,33 @@ class TestTrajectoryCsv:
         path = tmp_path / "traj.csv"
         write_trajectory_csv(short_trajectory, path)
         assert b"\r" not in path.read_bytes()
+
+    @pytest.mark.parametrize("full_state", [False, True])
+    def test_matches_per_cell_format(self, short_trajectory, tmp_path, full_state):
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(short_trajectory, path, full_state)
+        assert path.read_bytes() == reference_trajectory_csv(short_trajectory, full_state).encode()
+
+    @pytest.mark.parametrize("full_state", [False, True])
+    def test_edge_values_and_strided_states(self, tmp_path, full_state):
+        wide = np.zeros((4, 6), dtype=np.complex128)
+        states = wide[:, ::2]  # not contiguous
+        states.real[:] = [[-0.0, 5e-324, 1e300], [1.0, -1e300, 0.1], [0.0, -5e-324, 2.0], [3.0, 4.0, 5.0]]
+        states.imag[:] = [[5e-324, -0.0, -1e300], [0.0, 1e300, -0.1], [-0.0, 1.0, 1e-300], [6.0, 7.0, 8.0]]
+        fid = np.array([1.0, 0.0, 5e-324, -0.0])
+        traj = Trajectory(
+            times=np.array([-0.0, 5e-324, 1.0, 1e300]),
+            states=states,
+            fields=np.array([-0.0, 5e-324, -1e300, 1e300]),
+            lyapunov=1.0 - fid,
+            fidelity=fid,
+        )
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path, full_state)
+        text = path.read_text()
+        assert text == reference_trajectory_csv(traj, full_state)
+        assert text.splitlines()[1].startswith("-0,-0,0,1")
+        assert "4.9406564584124654e-324" in text
 
 
 class TestMain:
@@ -183,6 +213,22 @@ class TestMain:
         code = main(["simulate", "--preset", "custom", "--gain-k", "1e9",
                      "--horizon", "5", "--seed", "1", "--out", str(out)])
         assert code == 2
+
+    def test_horizon_beyond_memory_is_a_config_error(self, tmp_path, capsys):
+        code = main(["simulate", "--horizon", "1e12", "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: horizon=1e+12 with dt=0.01 ")
+        assert "Traceback" not in err
+
+    def test_unexpected_exception_exit_code(self, tmp_path, capsys, monkeypatch):
+        def boom(cfg, out_dir):
+            return 1 / 0
+
+        monkeypatch.setitem(cli._RUNNERS, "simulate", boom)
+        code = main(["simulate", "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert capsys.readouterr().err == "internal error: ZeroDivisionError: division by zero\n"
 
     def test_io_failure_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "file"

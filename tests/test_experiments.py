@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lyapsim import (
     ConfigError,
@@ -16,7 +18,9 @@ from lyapsim import (
     run_dimension_scaling,
     simulate,
 )
-from lyapsim.experiments import MIN_SPECTRAL_GAP, _scaling_trial
+from lyapsim.experiments import CONVERGENCE_HOLD, MIN_SPECTRAL_GAP, _scaling_trial
+
+from helpers import loop_convergence_time
 
 
 class TestPreset5Dim:
@@ -104,7 +108,44 @@ def synthetic_trajectory(times, fidelity):
     )
 
 
+@st.composite
+def fidelity_traces(draw):
+    """(times, fidelity, threshold): runs of samples at, above or below threshold."""
+    threshold = draw(st.floats(1e-3, 1.0))
+    value = st.one_of(
+        st.just(threshold),
+        st.floats(threshold, 1.0),
+        st.floats(0.0, threshold, exclude_max=True),
+    )
+    runs = draw(st.lists(st.tuples(st.integers(1, 400), value), min_size=1, max_size=12))
+    dt = draw(st.sampled_from([0.01, 0.1, 0.25, 1.0, 3.0]))
+    fid = np.repeat([v for _, v in runs], [n for n, _ in runs])
+    return np.arange(len(fid)) * dt, fid, threshold
+
+
+def _dips(n, at):
+    fid = np.ones(n)
+    fid[at] = 0.5
+    return fid
+
+
 class TestConvergenceTime:
+    @settings(max_examples=300, deadline=None)
+    @given(fidelity_traces())
+    @example((np.arange(30.0), np.ones(30), 0.95))  # all above
+    @example((np.arange(30.0), np.zeros(30), 0.95))  # all below
+    @example((np.arange(30.0), _dips(30, [0, 1, 15, 25]), 0.95))  # last dip within the hold of the horizon
+    @example((np.arange(1200) * 0.01, _dips(1200, [100, 1150]), 0.95))
+    # From t = 0.04 the dip at 10.040000000000001 is at the window's end, one
+    # rounding step past t + 10; the 1e-12 slack counts it inside.
+    @example((np.arange(1200) * 0.01, _dips(1200, [0, 1, 2, 3, 1004]), 0.95))
+    @example((np.arange(1.0), np.ones(1), 1.0))
+    def test_matches_sample_loop(self, trace):
+        times, fid, threshold = trace
+        traj = synthetic_trajectory(times, fid)
+        expected = loop_convergence_time(traj, threshold, CONVERGENCE_HOLD)
+        assert convergence_time(traj, threshold) == expected
+
     def test_always_converged(self):
         traj = synthetic_trajectory(np.arange(30.0), np.ones(30))
         assert convergence_time(traj, 0.95) == 0.0
@@ -202,17 +243,6 @@ class TestDimensionScaling:
         times = [t if t is not None else 160.0 for t, _, _ in direct]
         assert row.mean_convergence_time == pytest.approx(np.mean(times), abs=1e-12)
         assert row.mean_fidelity == pytest.approx(np.mean([f for _, f, _ in direct]), abs=1e-12)
-
-    def test_serial_and_parallel_agree(self, monkeypatch):
-        cfg = build_config(
-            {"preset": "fig5", "seed": 21, "dims": [4, 5], "n_states": 4,
-             "horizon": 160.0, "fidelity_time": 150.0}
-        )
-        monkeypatch.setenv("LYAPSIM_THREADS", "1")
-        serial = run_dimension_scaling(cfg)
-        monkeypatch.setenv("LYAPSIM_THREADS", "4")
-        parallel = run_dimension_scaling(cfg)
-        assert serial == parallel
 
     def test_nonconverged_counted_at_horizon(self):
         cfg = build_config(

@@ -21,7 +21,6 @@ from lyapsim import (
     simulate,
 )
 from lyapsim import _kernels
-from lyapsim.cli import main
 
 from helpers import random_hermitian, random_unit_complex
 
@@ -123,20 +122,3 @@ def test_kernel_matches_generic_path(sys5, kind):
     slow = simulate(sys5, law, psi0, 30.0, 0.01, _force_generic=True)
     assert np.max(np.abs(fast.fields - slow.fields)) <= 1e-12
     assert np.max(np.abs(fast.states - slow.states)) <= 1e-12
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["delay-sweep", "--taus=-0.5,0,0.5", "--horizon", "20"],
-        ["pulse-sweep", "--pulse-counts", "10,40", "--horizon", "20"],
-    ],
-)
-def test_sweeps_independent_of_thread_count(argv, tmp_path, monkeypatch, capsys):
-    outputs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("LYAPSIM_THREADS", threads)
-        out = tmp_path / threads
-        assert main([*argv, "--seed", "3", "--n-states", "2", "--out", str(out)]) == 0
-        outputs.append([(out / name).read_bytes() for name in ("sweep.csv", "manifest.json")])
-    assert outputs[0] == outputs[1]
