@@ -14,18 +14,20 @@ z = big @ psi per step yields everything: the overlaps that give the field
 and the next state [1, f, f^2, f^3, f^4] @ z[:5d].reshape(5, d), which is
 then renormalized under the drift guard.
 
-Where the field is known to stay constant for L > 1 steps (replay runs of
-equal values, bang-bang between re-quantizations), `simulate_loop` builds
+`simulate_loop` runs whatever a field law compiles to. The closed-loop laws
+are frozen records (`Feedback`, `PastFeedback`, `TaylorFeedback`,
+`BangBang`); an open-loop law is its array of applied fields; a user law is
+a callable field(t, psi). The feedback, delayed, Taylor and user laws run in
+`_per_step`, which inlines `Stepper.load` and `Stepper.advance` (locals for
+the stepper's buffers, one reused monomial array).
+
+Where the field is known to stay constant for L > 1 steps (open-loop runs of
+equal values, bang-bang between re-quantizations), `_held_blocks` builds
 R(f) once, takes the powers R^1..R^L by doubling, and gets the block's states
 as the normalized rows of powers @ psi. Each step's drift is the ratio of
 consecutive norms, so the first step that fails the guard is reported as in
 the per-step path. L is capped at BLOCK_CAP: the partition depends only on
 the law, and a block holds at most BLOCK_CAP * d^2 complex numbers.
-
-The feedback, history and Taylor laws run in `_per_step`, which inlines
-`Stepper.load` and `Stepper.advance` (locals for the stepper's buffers, one
-reused monomial array) with the same numpy calls in the same order, so its
-states are bitwise those of the generic path's Stepper calls.
 
 The classic four-stage `rk4_step` is kept as the reference the polynomial
 map is tested against.
@@ -35,18 +37,40 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
-# Applied-field law codes for simulate_loop.
-LAW_FEEDBACK = 0
-LAW_DELAY_HISTORY = 1
-LAW_REPLAY = 2
-LAW_TAYLOR = 3
-LAW_BANG = 4
-
 #: Most steps propagated as one held-field block.
 BLOCK_CAP = 64
+
+
+@dataclass(frozen=True)
+class Feedback:
+    """Apply the feedback of the current state."""
+
+
+@dataclass(frozen=True)
+class PastFeedback:
+    """Apply the feedback of delay_steps steps ago; zero before it exists."""
+
+    delay_steps: int
+
+
+@dataclass(frozen=True)
+class TaylorFeedback:
+    """Apply f - f' tau + f'' tau^2 / 2 of the current state."""
+
+    tau: float
+
+
+@dataclass(frozen=True)
+class BangBang:
+    """Quantize the feedback onto {+f0, 0, -f0} every stride steps; hold it between."""
+
+    stride: int
+    f0: float
+    deadband: float
 
 
 def bang_quantize(f_raw, f0, deadband):
@@ -137,14 +161,14 @@ def _taylor(z, gain_k):
 def feedback_field(target, h1_target, gain_k, psi):
     """f = -k Im(<target|psi> <psi|H1|target>), with h1_target = H1|target>.
 
-    Evaluated through the same functional rows as the Stepper, so both
-    integrator paths see the same bits.
+    Evaluated through the same functional rows as the Stepper, so a user law
+    built on it sees the bits of the built-in feedback law.
     """
     a, c = np.dot(_functionals(target, h1_target), psi).tolist()
     return _feedback(a, c, gain_k)
 
 
-def field_and_derivatives(h0, h1, target, h1_target, gain_k, psi):
+def feedback_and_derivatives(h0, h1, target, h1_target, gain_k, psi):
     """Feedback field plus its first two time derivatives along the closed loop."""
     rows = _functionals(target, h1_target, _taylor_operators(h0, h1))
     return _taylor(np.dot(rows, psi).tolist(), gain_k)
@@ -208,58 +232,44 @@ class Stepper:
         return n_ok if len(bad) else -1
 
 
-def simulate_loop(
-    h0,
-    h1,
-    target,
-    h1_target,
-    gain_k,
-    psi0,
-    n_steps,
-    dt,
-    law_kind,
-    delay_steps,
-    tau,
-    f_ref,
-    stride,
-    f0,
-    deadband,
-    drift_tol,
-):
-    """Fixed-step closed-loop integration for the built-in field laws.
+def simulate_loop(h0, h1, target, h1_target, gain_k, psi0, n_steps, dt, law, drift_tol):
+    """Fixed-step closed-loop integration under one compiled field law.
 
-    The field is sampled at each step start (zero-order hold across the
-    step); the bang-bang law re-quantizes only every `stride` steps.
-    Returns (states, fields, status, bad_step); status 1 flags a
-    pre-renormalization norm drift above drift_tol at step bad_step.
+    law is an array of the n_steps + 1 applied fields (open loop), a
+    Feedback, PastFeedback, TaylorFeedback or BangBang record, or a callable
+    field(t, psi). The field is sampled at each step start and held across
+    the step. Returns (states, fields, bad_step); bad_step is the first step
+    whose pre-renormalization norm drift exceeds drift_tol, or -1.
     """
     dim = psi0.shape[0]
     states = np.empty((n_steps + 1, dim), dtype=np.complex128)
-    fields = np.zeros(n_steps + 1)
     states[0] = psi0
-    stepper = Stepper(h0, h1, target, h1_target, dt, taylor=law_kind == LAW_TAYLOR)
+    stepper = Stepper(h0, h1, target, h1_target, dt, taylor=isinstance(law, TaylorFeedback))
     with np.errstate(all="ignore"):
-        if law_kind in (LAW_REPLAY, LAW_BANG):
-            bad_step = _held_blocks(
-                stepper, states, fields, gain_k, law_kind, delay_steps, f_ref,
-                stride, f0, deadband, drift_tol,
-            )
+        if isinstance(law, np.ndarray):
+            fields = np.array(law, dtype=np.float64)
+            bad_step = _held_blocks(stepper, states, fields, None, gain_k, drift_tol)
+        elif isinstance(law, BangBang):
+            fields = np.zeros(n_steps + 1)
+            bad_step = _held_blocks(stepper, states, fields, law, gain_k, drift_tol)
         else:
-            bad_step = _per_step(
-                stepper, states, fields, gain_k, law_kind, delay_steps, tau, drift_tol
-            )
-    return states, fields, int(bad_step >= 0), bad_step
+            fields = np.zeros(n_steps + 1)
+            bad_step = _per_step(stepper, states, fields, law, gain_k, dt, drift_tol)
+    return states, fields, bad_step
 
 
-def _per_step(stepper, states, fields, gain_k, law_kind, delay_steps, tau, drift_tol):
-    """Feedback, history and Taylor laws: Stepper.load + advance, inlined."""
+def _per_step(stepper, states, fields, law, gain_k, dt, drift_tol):
+    """Feedback, delayed, Taylor and user laws: Stepper.load + advance, inlined."""
     n_steps = len(fields) - 1
     big, z, zk, overlaps = stepper._big, stepper._z, stepper._zk, stepper._overlaps
     nxt, nxt_r = stepper._next, stepper._next_r
     dot, divide, sqrt = np.dot, np.divide, math.sqrt
     mono = np.ones(5)  # [1, f, f^2, f^3, f^4], as _monomials(f)
-    taylor = law_kind == LAW_TAYLOR
-    history = law_kind == LAW_DELAY_HISTORY
+    taylor = isinstance(law, TaylorFeedback)
+    past = isinstance(law, PastFeedback)
+    user = law if callable(law) else None
+    tau = law.tau if taylor else 0.0
+    delay_steps = law.delay_steps if past else 0
     raw = deque(maxlen=delay_steps + 1)  # raw feedback of the last delay_steps + 1 steps
     psi = states[0]
     for i in range(n_steps + 1):
@@ -267,10 +277,12 @@ def _per_step(stepper, states, fields, gain_k, law_kind, delay_steps, tau, drift
         if taylor:
             fv, df, d2f = _taylor(overlaps.tolist(), gain_k)
             f = fv - df * tau + 0.5 * d2f * tau * tau
+        elif user is not None:
+            f = float(user(i * dt, psi))
         else:
             a, c = overlaps.tolist()
             f = -gain_k * (a * c.conjugate()).imag  # _feedback(a, c, gain_k)
-            if history:
+            if past:
                 raw.append(f)
                 f = raw[0] if i >= delay_steps else 0.0
         fields[i] = f
@@ -290,29 +302,25 @@ def _per_step(stepper, states, fields, gain_k, law_kind, delay_steps, tau, drift
     return -1
 
 
-def _held_blocks(
-    stepper, states, fields, gain_k, law_kind, delay_steps, f_ref, stride, f0, deadband,
-    drift_tol,
-):
-    """Replay and bang-bang laws: blocks of steps under one held field value."""
+def _held_blocks(stepper, states, fields, bang, gain_k, drift_tol):
+    """Open-loop (bang is None; fields holds the applied values) and bang-bang
+    laws: blocks of steps under one held field value."""
     n_steps = len(fields) - 1
 
     def quantized(psi):
         z = stepper.load(psi)
-        return bang_quantize(_feedback(z[0], z[1], gain_k), f0, deadband)
+        return bang_quantize(_feedback(z[0], z[1], gain_k), bang.f0, bang.deadband)
 
-    if law_kind == LAW_REPLAY:
-        lo = max(delay_steps, 0)
-        hi = min(n_steps + 1, delay_steps + len(f_ref))
-        if hi > lo:
-            fields[lo:hi] = f_ref[lo - delay_steps : hi - delay_steps]
+    if bang is None:
         # Block starts: every change of the applied value.
         changes = np.flatnonzero(fields[1:n_steps] != fields[: n_steps - 1]) + 1
         run_ends = np.append(changes, n_steps).tolist()
+    else:
+        stride = bang.stride
     amp = 0.0
     i = run = 0
     while i < n_steps:
-        if law_kind == LAW_BANG:
+        if bang is not None:
             if i % stride == 0:
                 amp = quantized(states[i])
             length = min(stride - i % stride, BLOCK_CAP, n_steps - i)
@@ -323,7 +331,7 @@ def _held_blocks(
             length = min(run_ends[run] - i, BLOCK_CAP)
         f = float(fields[i])
         if length == 1:
-            if law_kind != LAW_BANG or i % stride:  # else quantized() just loaded it
+            if bang is None or i % stride:  # else quantized() just loaded it
                 stepper.load(states[i])
             if not (stepper.advance(f, states[i + 1]) <= drift_tol):
                 return i
@@ -332,6 +340,6 @@ def _held_blocks(
             if bad >= 0:
                 return i + bad
         i += length
-    if law_kind == LAW_BANG:
+    if bang is not None:
         fields[n_steps] = quantized(states[n_steps]) if n_steps % stride == 0 else amp
     return -1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, linalg
-from .dynamics import ControlSystem, FieldLaw, KernelPlan
+from .dynamics import ControlSystem, FieldLaw
 from .errors import InputError
 
 #: Classification labels for critical points of V.
@@ -100,7 +100,7 @@ def field_derivatives(psi: np.ndarray, sys: ControlSystem) -> tuple[float, float
     contribution to the second derivative (the field enters H).
     """
     psi = _check_dim(psi, sys.dim)
-    _, df, d2f = _kernels.field_and_derivatives(
+    _, df, d2f = _kernels.feedback_and_derivatives(
         sys.h0, sys.h1, sys.target, sys.h1_target(), sys.gain_k, psi
     )
     return float(df), float(d2f)
@@ -109,22 +109,13 @@ def field_derivatives(psi: np.ndarray, sys: ControlSystem) -> tuple[float, float
 class _RawFeedbackLaw(FieldLaw):
     """The undistorted closed loop: apply control_field at the current state."""
 
-    def __init__(self, sys: ControlSystem):
-        self._sys = sys
-        self._h1_target = sys.h1_target()
-
-    def field(self, t, psi, history):
-        return float(
-            _kernels.feedback_field(self._sys.target, self._h1_target, self._sys.gain_k, psi)
-        )
-
-    def _prepare(self, sys, psi0, n_steps, dt):
-        return KernelPlan(_kernels.LAW_FEEDBACK)
+    def _compile(self, sys, psi0, n_steps, dt):
+        return _kernels.Feedback()
 
 
 def feedback_law(sys: ControlSystem) -> FieldLaw:
-    """FieldLaw applying the raw feedback field with no distortion."""
-    return _RawFeedbackLaw(sys)
+    """FieldLaw applying the raw feedback field of the simulated system, undistorted."""
+    return _RawFeedbackLaw()
 
 
 def classify_critical_point(a_eigenvalues, c: int, tol: float = 1e-12) -> str:

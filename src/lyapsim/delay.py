@@ -16,23 +16,15 @@ default step size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from ._parallel import parallel_map
-from .control_law import feedback_law
-from .dynamics import (
-    ControlSystem,
-    FieldLaw,
-    KernelPlan,
-    Trajectory,
-    delay_step_count,
-    simulate,
-)
+from .dynamics import ControlSystem, FieldLaw, Trajectory
 from .errors import InputError
-from .experiments import SweepPoint, seeded_initial_states
+from .experiments import SweepPoint, paired_sweep
 
 MODES = ("history", "replay", "taylor")
 
@@ -57,79 +49,9 @@ class DelaySpec:
         return "history" if self.tau >= 0 else "taylor"
 
 
-class _HistoryDelayLaw(FieldLaw):
-    def __init__(self, sys: ControlSystem, tau: float):
-        self._sys = sys
-        self._tau = tau
-        self._h1_target = sys.h1_target()
-
-    def field(self, t, psi, history):
-        past = history.state_at_or_before(t - self._tau)
-        if past is None:
-            return 0.0
-        return float(
-            _kernels.feedback_field(self._sys.target, self._h1_target, self._sys.gain_k, past)
-        )
-
-    def _prepare(self, sys, psi0, n_steps, dt):
-        _check_tau(self._tau, n_steps, dt)
-        return KernelPlan(
-            _kernels.LAW_DELAY_HISTORY, delay_steps=delay_step_count(self._tau, dt)
-        )
-
-
-class _ReplayDelayLaw(FieldLaw):
-    def __init__(self, sys: ControlSystem, tau: float, reference: Trajectory):
-        self._tau = tau
-        self._ref_fields = np.asarray(reference.fields, dtype=np.float64)
-        times = reference.times
-        if len(times) < 2:
-            raise InputError("replay reference needs at least two samples")
-        self._ref_dt = float(times[1] - times[0])
-        self._ref_end = float(times[-1])
-
-    def field(self, t, psi, history):
-        tq = t - self._tau
-        if tq < -1e-12:
-            return 0.0
-        idx = int(np.floor(tq / self._ref_dt + 1e-9))
-        if idx < 0 or idx >= len(self._ref_fields):
-            return 0.0
-        return float(self._ref_fields[idx])
-
-    def _prepare(self, sys, psi0, n_steps, dt):
-        _check_tau(self._tau, n_steps, dt)
-        if abs(self._ref_dt - dt) > 1e-9 * max(1.0, dt):
-            raise InputError(
-                f"replay reference step {self._ref_dt} does not match run step {dt}"
-            )
-        if self._ref_end + 1e-9 < n_steps * dt:
-            raise InputError(
-                f"replay reference covers [0, {self._ref_end}] but the run needs [0, {n_steps * dt}]"
-            )
-        return KernelPlan(
-            _kernels.LAW_REPLAY,
-            delay_steps=delay_step_count(self._tau, dt),
-            f_ref=self._ref_fields,
-        )
-
-
-class _TaylorDelayLaw(FieldLaw):
-    def __init__(self, sys: ControlSystem, tau: float):
-        self._sys = sys
-        self._tau = tau
-        self._h1_target = sys.h1_target()
-
-    def field(self, t, psi, history):
-        s = self._sys
-        f, df, d2f = _kernels.field_and_derivatives(
-            s.h0, s.h1, s.target, self._h1_target, s.gain_k, psi
-        )
-        return float(f - df * self._tau + 0.5 * d2f * self._tau * self._tau)
-
-    def _prepare(self, sys, psi0, n_steps, dt):
-        _check_tau(self._tau, n_steps, dt)
-        return KernelPlan(_kernels.LAW_TAYLOR, tau=self._tau)
+def delay_step_count(tau: float, dt: float) -> int:
+    """Grid offset realizing a nearest-earlier lookup at t - tau."""
+    return int(math.ceil(tau / dt - 1e-9))
 
 
 def _check_tau(tau: float, n_steps: int, dt: float) -> None:
@@ -138,28 +60,81 @@ def _check_tau(tau: float, n_steps: int, dt: float) -> None:
         raise InputError(f"|tau| = {abs(tau)} exceeds the horizon {horizon}")
 
 
+@dataclass(frozen=True)
+class _PastStateLaw(FieldLaw):
+    """The feedback of the state recorded tau ago (history mode)."""
+
+    tau: float
+
+    def _compile(self, sys, psi0, n_steps, dt):
+        _check_tau(self.tau, n_steps, dt)
+        return _kernels.PastFeedback(delay_step_count(self.tau, dt))
+
+
+@dataclass(frozen=True, eq=False)
+class _ReplayDelayLaw(FieldLaw):
+    """The reference run's field shifted by tau, applied open loop."""
+
+    tau: float
+    ref_fields: np.ndarray
+    ref_dt: float
+    ref_end: float
+
+    def _compile(self, sys, psi0, n_steps, dt):
+        _check_tau(self.tau, n_steps, dt)
+        if abs(self.ref_dt - dt) > 1e-9 * max(1.0, dt):
+            raise InputError(
+                f"replay reference step {self.ref_dt} does not match run step {dt}"
+            )
+        if self.ref_end + 1e-9 < n_steps * dt:
+            raise InputError(
+                f"replay reference covers [0, {self.ref_end}] but the run needs [0, {n_steps * dt}]"
+            )
+        shift = delay_step_count(self.tau, dt)
+        fields = np.zeros(n_steps + 1)
+        lo = max(shift, 0)
+        hi = min(n_steps + 1, shift + len(self.ref_fields))
+        if hi > lo:
+            fields[lo:hi] = self.ref_fields[lo - shift : hi - shift]
+        return fields
+
+
+@dataclass(frozen=True)
+class _TaylorDelayLaw(FieldLaw):
+    """The second-order expansion of f(t - tau) at the current state."""
+
+    tau: float
+
+    def _compile(self, sys, psi0, n_steps, dt):
+        _check_tau(self.tau, n_steps, dt)
+        return _kernels.TaylorFeedback(self.tau)
+
+
 def delayed_law(sys: ControlSystem, spec: DelaySpec, reference: Trajectory | None = None) -> FieldLaw:
     """FieldLaw realizing f(t - tau) by the mechanism the DelaySpec selects.
 
     Replay mode needs the delay-free closed-loop run as reference; outside
-    its recorded window the applied field is zero.
+    its recorded window the applied field is zero. The law keeps only the
+    reference's field record.
     """
     mode = spec.resolved_mode()
     if mode == "history":
         if spec.tau < 0:
             raise InputError("history mode is causal state feedback and needs tau >= 0")
-        return _HistoryDelayLaw(sys, spec.tau)
+        return _PastStateLaw(spec.tau)
     if mode == "replay":
         if reference is None:
             raise InputError("replay mode needs the delay-free reference trajectory")
-        return _ReplayDelayLaw(sys, spec.tau, reference)
-    return _TaylorDelayLaw(sys, spec.tau)
-
-
-def _delay_trial(args):
-    sys, tau, mode, psi0, reference, horizon, dt = args
-    law = delayed_law(sys, DelaySpec(tau=tau, mode=mode), reference=reference)
-    return simulate(sys, law, psi0, horizon, dt).final_fidelity
+        times = reference.times
+        if len(times) < 2:
+            raise InputError("replay reference needs at least two samples")
+        return _ReplayDelayLaw(
+            spec.tau,
+            np.asarray(reference.fields, dtype=np.float64),
+            float(times[1] - times[0]),
+            float(times[-1]),
+        )
+    return _TaylorDelayLaw(spec.tau)
 
 
 def delay_sweep(
@@ -175,32 +150,15 @@ def delay_sweep(
 
     The same state batch is shared across all delays (paired design, for
     variance reduction); everything is deterministic in (seed, config).
+    Replay mode runs each state's delay-free reference once.
     """
-    taus = [float(t) for t in taus]
-    states = seeded_initial_states(sys.dim, n_states, seed)
-
-    references = [None] * n_states
-    if any(DelaySpec(t, mode).resolved_mode() == "replay" for t in taus):
-        references = parallel_map(
-            lambda psi0: simulate(sys, feedback_law(sys), psi0, horizon, dt),
-            states,
-        )
-
-    tasks = [
-        (sys, tau, mode, states[i], references[i], horizon, dt)
-        for tau in taus
-        for i in range(n_states)
-    ]
-    finals = parallel_map(_delay_trial, tasks)
-    points = []
-    for t_idx, tau in enumerate(taus):
-        chunk = np.array(finals[t_idx * n_states : (t_idx + 1) * n_states])
-        points.append(
-            SweepPoint(
-                parameter=tau,
-                mean_fidelity=float(np.mean(chunk)),
-                std_fidelity=float(np.std(chunk)),
-                n=n_states,
-            )
-        )
-    return points
+    return paired_sweep(
+        sys,
+        [float(t) for t in taus],
+        lambda tau, reference: delayed_law(sys, DelaySpec(tau, mode), reference),
+        n_states,
+        seed,
+        horizon,
+        dt,
+        design=mode == "replay",
+    )

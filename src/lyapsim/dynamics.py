@@ -3,16 +3,19 @@
 Integrates i d|psi>/dt = (H0 + f(t) H1) |psi> with a fixed-step RK4 loop and
 explicit per-step renormalization. The applied field comes from a FieldLaw,
 evaluated once per step start and held constant across the step, which keeps
-delay buffers and pulse boundaries on a deterministic grid. An exact
-piecewise-constant propagator built on the eigensolver serves as the
-independent reference for the integrator.
+delay buffers and pulse boundaries on a deterministic grid. A law reaches the
+integrator in one way: `simulate` compiles it for the run's grid and hands
+the result to `_kernels.simulate_loop` (a built-in law compiles to its
+applied-field array or a kernel record, a user law to its field(t, psi)
+hook). An exact piecewise-constant propagator built on the eigensolver
+serves as the independent reference for the integrator.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,62 +122,20 @@ class Trajectory:
         return float(self.fidelity[self.index_at(t)])
 
 
-class History:
-    """Nearest-earlier access to the states recorded so far in a run."""
-
-    def __init__(self, dt: float):
-        self._dt = dt
-        self._states: list[np.ndarray] = []
-
-    def append(self, psi: np.ndarray) -> None:
-        self._states.append(psi)
-
-    def state_at_or_before(self, t: float):
-        """State recorded at the latest sample time <= t, or None for t < 0."""
-        if t < -1e-12:
-            return None
-        idx = int(math.floor(t / self._dt + 1e-9))
-        if idx < 0:
-            return None
-        if idx >= len(self._states):
-            idx = len(self._states) - 1
-        return self._states[idx]
-
-
 class FieldLaw:
-    """Applied-field rule: a deterministic map (time, state, history) -> field.
+    """Applied-field rule, evaluated at each step start and held across the step.
 
-    Subclasses may implement _prepare to validate against the run grid and
-    hand simulate() a compiled-loop plan; otherwise the generic per-step
-    Python loop evaluates field().
+    A user law subclasses FieldLaw and implements field(t, psi), which
+    simulate calls once per step with the step's start time and state. The
+    built-in laws are immutable records that override _compile instead.
     """
 
-    def field(self, t: float, psi: np.ndarray, history: History) -> float:
+    def field(self, t: float, psi: np.ndarray) -> float:
         raise NotImplementedError
 
-    def _prepare(self, sys: ControlSystem, psi0: np.ndarray, n_steps: int, dt: float):
-        return None
-
-    def _after_run(self, times: np.ndarray, fields: np.ndarray) -> None:
-        pass
-
-
-@dataclass
-class KernelPlan:
-    """Dispatch record for _kernels.simulate_loop."""
-
-    law_kind: int
-    delay_steps: int = 0
-    tau: float = 0.0
-    f_ref: np.ndarray = field(default_factory=lambda: np.empty(0))
-    stride: int = 1
-    f0: float = 0.0
-    deadband: float = 0.0
-
-
-def delay_step_count(tau: float, dt: float) -> int:
-    """Grid offset realizing a nearest-earlier lookup at t - tau."""
-    return int(math.ceil(tau / dt - 1e-9))
+    def _compile(self, sys: ControlSystem, psi0: np.ndarray, n_steps: int, dt: float):
+        """What _kernels.simulate_loop runs for this law on the run's grid."""
+        return self.field
 
 
 class PiecewiseConstantLaw(FieldLaw):
@@ -190,19 +151,10 @@ class PiecewiseConstantLaw(FieldLaw):
         self._bounds = np.cumsum([d for d, _ in segments])
         self._values = np.array([v for _, v in segments])
 
-    def field(self, t, psi, history):
-        if t < 0:
-            return 0.0
-        i = int(np.searchsorted(self._bounds, t + 1e-12, side="right"))
-        if i >= len(self._values):
-            return 0.0
-        return float(self._values[i])
-
-    def _prepare(self, sys, psi0, n_steps, dt):
-        f_ref = np.empty(n_steps + 1)
-        for i in range(n_steps + 1):
-            f_ref[i] = self.field(i * dt, None, None)
-        return KernelPlan(_kernels.LAW_REPLAY, delay_steps=0, f_ref=f_ref)
+    def _compile(self, sys, psi0, n_steps, dt):
+        t = np.arange(n_steps + 1) * dt
+        segment = np.searchsorted(self._bounds, t + 1e-12, side="right")
+        return np.append(self._values, 0.0)[segment]
 
 
 def rk4_step(sys: ControlSystem, psi: np.ndarray, f: float, dt: float) -> np.ndarray:
@@ -247,7 +199,6 @@ def simulate(
     psi0: np.ndarray,
     horizon: float,
     dt: float = DEFAULT_DT,
-    _force_generic: bool = False,
 ) -> Trajectory:
     """Integrate the controlled dynamics under an applied-field law.
 
@@ -262,58 +213,24 @@ def simulate(
         raise InputError(f"state dimension {psi0.shape[0]} != system dimension {sys.dim}")
     _check_state_memory(n_steps, sys.dim, horizon, dt)
     dt = float(dt)
-
-    plan = law._prepare(sys, psi0, n_steps, dt)
-    if _force_generic:
-        plan = None
-    if plan is not None:
-        states, fields, status, bad_step = _kernels.simulate_loop(
-            sys.h0,
-            sys.h1,
-            sys.target,
-            sys.h1_target(),
-            sys.gain_k,
-            psi0,
-            n_steps,
-            dt,
-            plan.law_kind,
-            plan.delay_steps,
-            plan.tau,
-            np.ascontiguousarray(plan.f_ref, dtype=np.float64),
-            plan.stride,
-            plan.f0,
-            plan.deadband,
-            NORM_DRIFT_GUARD,
+    states, fields, bad_step = _kernels.simulate_loop(
+        sys.h0,
+        sys.h1,
+        sys.target,
+        sys.h1_target(),
+        sys.gain_k,
+        psi0,
+        n_steps,
+        dt,
+        law._compile(sys, psi0, n_steps, dt),
+        NORM_DRIFT_GUARD,
+    )
+    if bad_step >= 0:
+        raise NumericalError(
+            f"norm drift exceeded {NORM_DRIFT_GUARD:.0e} at step {bad_step} "
+            f"(t={bad_step * dt:.4g}); dt is likely too large for this field law"
         )
-        if status != 0:
-            raise NumericalError(
-                f"norm drift exceeded {NORM_DRIFT_GUARD:.0e} at step {bad_step} "
-                f"(t={bad_step * dt:.4g}); dt is likely too large for this field law"
-            )
-    else:
-        states = np.empty((n_steps + 1, sys.dim), dtype=np.complex128)
-        fields = np.zeros(n_steps + 1)
-        states[0] = psi0
-        history = History(dt)
-        stepper = _kernels.Stepper(sys.h0, sys.h1, sys.target, sys.h1_target(), dt)
-        for i in range(n_steps + 1):
-            psi = states[i]
-            history.append(psi)
-            f = float(law.field(i * dt, psi, history))
-            fields[i] = f
-            if i == n_steps:
-                break
-            stepper.load(psi)
-            drift = stepper.advance(f, states[i + 1])
-            if not (drift <= NORM_DRIFT_GUARD):
-                raise NumericalError(
-                    f"norm drift {drift:.3e} exceeded {NORM_DRIFT_GUARD:.0e} at step {i} "
-                    f"(t={i * dt:.4g}); dt is likely too large for this field law"
-                )
-
-    times = np.arange(n_steps + 1) * dt
-    law._after_run(times, fields)
-    return _make_trajectory(sys, times, states, fields)
+    return _make_trajectory(sys, np.arange(n_steps + 1) * dt, states, fields)
 
 
 def propagate_exact(sys: ControlSystem, segments, psi0: np.ndarray) -> Trajectory:

@@ -122,6 +122,41 @@ class SweepPoint:
     n: int
 
 
+def paired_sweep(sys, params, make_law, n_states, seed, horizon, dt, design=False):
+    """One SweepPoint of final-fidelity statistics per parameter.
+
+    Every parameter runs from the same seeded states (a paired design, for
+    variance reduction). make_law(param, reference) builds a trial's law;
+    with design=True, reference is the delay-free closed-loop run from the
+    trial's state, run once per state, else None. A state's laws are built
+    as soon as its design run ends, so only what they keep of it stays in
+    memory while the trials run.
+    """
+    states = seeded_initial_states(sys.dim, n_states, seed)
+
+    def state_laws(psi0):
+        reference = simulate(sys, feedback_law(sys), psi0, horizon, dt) if design else None
+        return [make_law(param, reference) for param in params]
+
+    laws = parallel_map(state_laws, states)
+    tasks = [(laws[i][j], states[i]) for j in range(len(params)) for i in range(n_states)]
+    finals = parallel_map(
+        lambda task: simulate(sys, task[0], task[1], horizon, dt).final_fidelity, tasks
+    )
+    points = []
+    for j, param in enumerate(params):
+        chunk = np.array(finals[j * n_states : (j + 1) * n_states])
+        points.append(
+            SweepPoint(
+                parameter=param,
+                mean_fidelity=float(np.mean(chunk)),
+                std_fidelity=float(np.std(chunk)),
+                n=n_states,
+            )
+        )
+    return points
+
+
 @dataclass
 class ScalingRow:
     dim: int

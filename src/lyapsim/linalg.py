@@ -1,10 +1,8 @@
 """Dense complex linear algebra for small state spaces.
 
 Everything operates on plain numpy arrays: complex128 vectors for states and
-complex128 square matrices for Hermitian operators. The eigensolver is a
-cyclic Jacobi iteration with complex rotations, which is ample for the
-dimensions handled here (a few up to a few tens) and keeps the exact
-propagator free of external solver dependencies.
+complex128 square matrices for Hermitian operators. The eigensolver behind
+the exact propagator is LAPACK's Hermitian solver through np.linalg.eigh.
 """
 
 from __future__ import annotations
@@ -17,9 +15,6 @@ from .errors import InputError, NumericalError
 
 HERMITICITY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-9
-
-_JACOBI_OFF_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
 
 
 def as_vector(entries) -> np.ndarray:
@@ -78,71 +73,19 @@ def apply(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     return h @ v
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One complex Jacobi rotation zeroing a[p, q] (and a[q, p]), in place."""
-    w = a[p, q]
-    aw = abs(w)
-    if aw == 0.0:
-        return
-    phase = w / aw  # e^{i arg(w)}
-    theta = 0.5 * math.atan2(2.0 * aw, a[q, q].real - a[p, p].real)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    sm = s * np.conj(phase)  # column factor, e^{-i arg(w)}
-    sp = s * phase
-
-    ap = a[:, p].copy()
-    aq = a[:, q].copy()
-    a[:, p] = c * ap - sm * aq
-    a[:, q] = s * ap + c * np.conj(phase) * aq
-    rp = a[p, :].copy()
-    rq = a[q, :].copy()
-    a[p, :] = c * rp - sp * rq
-    a[q, :] = s * rp + c * phase * rq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - sm * vq
-    v[:, q] = s * vp + c * np.conj(phase) * vq
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return math.sqrt(np.sum(np.abs(off) ** 2))
-
-
 def hermitian_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a validated Hermitian matrix.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
     eigenvectors as the columns of a unitary matrix, so that
     H = V diag(w) V^dag.
     """
     h = as_hermitian(matrix)
-    n = h.shape[0]
-    a = h.copy()
-    v = np.eye(n, dtype=np.complex128)
-
-    converged = _offdiag_norm(a) <= _JACOBI_OFF_TOL
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate(a, v, p, q)
-        converged = _offdiag_norm(a) <= _JACOBI_OFF_TOL
-    if not converged:
-        raise NumericalError(
-            f"Jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps"
-        )
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], np.ascontiguousarray(v[:, order])
+    try:
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Hermitian eigensolver did not converge: {exc}") from exc
+    return w, v
 
 
 def expm_apply(h: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:

@@ -22,16 +22,15 @@ descent slows to a creep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from ._parallel import parallel_map
 from .control_law import feedback_law
-from .dynamics import ControlSystem, FieldLaw, KernelPlan, Trajectory, simulate
+from .dynamics import ControlSystem, FieldLaw, Trajectory, simulate
 from .errors import InputError
-from .experiments import SweepPoint, seeded_initial_states
+from .experiments import SweepPoint, paired_sweep
 
 
 @dataclass
@@ -110,20 +109,21 @@ def _pulse_start_steps(n_steps: int, n_pulses: int) -> list[int]:
     return [(p * n_steps + n_pulses - 1) // n_pulses for p in range(n_pulses)]
 
 
+@dataclass(frozen=True, eq=False)
 class _PulseTrainLaw(FieldLaw):
-    """Window-averaged design field on a pulse grid, applied open loop."""
+    """Window-averaged design field on a pulse grid, applied open loop.
 
-    def __init__(self, sys: ControlSystem, spec: PulseTrainSpec, reference: Trajectory | None):
-        self._sys = sys
-        self._spec = spec
-        self._reference = reference
-        self._train = None
-        self._f_applied = None
-        self._n_steps = None
-        self._dt = None
+    design is (times, fields, initial state) of the given design run, or None
+    to run the delay-free closed loop from the simulated state. realized
+    holds the train of the latest run.
+    """
 
-    def _prepare(self, sys, psi0, n_steps, dt):
-        spec = self._spec
+    spec: PulseTrainSpec
+    design: tuple | None
+    realized: list = field(default_factory=list)
+
+    def _compile(self, sys, psi0, n_steps, dt):
+        spec = self.spec
         if abs(n_steps * dt - spec.horizon) > 1e-9 * max(1.0, spec.horizon):
             raise InputError(
                 f"pulse train spans [0, {spec.horizon}] but the run covers [0, {n_steps * dt}]"
@@ -132,45 +132,32 @@ class _PulseTrainLaw(FieldLaw):
             raise InputError(
                 f"pulse duration {spec.duration} is shorter than the step dt={dt}"
             )
-        ref = self._reference
-        if ref is None:
-            ref = simulate(sys, feedback_law(sys), psi0, spec.horizon, dt)
+        if self.design is None:
+            design_fields = simulate(sys, feedback_law(sys), psi0, spec.horizon, dt).fields
         else:
-            if len(ref.times) != n_steps + 1 or abs(ref.times[1] - ref.times[0] - dt) > 1e-9 * dt:
+            times, design_fields, design_psi0 = self.design
+            if len(times) != n_steps + 1 or abs(times[1] - times[0] - dt) > 1e-9 * dt:
                 raise InputError("pulse reference grid does not match the run grid")
-            if np.max(np.abs(ref.states[0] - psi0)) > 1e-12:
+            if np.max(np.abs(design_psi0 - psi0)) > 1e-12:
                 raise InputError("pulse reference was designed for a different initial state")
 
         n = spec.n_pulses
         bounds = _pulse_start_steps(n_steps, n) + [n_steps]
         amps = np.array(
-            [float(np.mean(ref.fields[bounds[p] : bounds[p + 1]])) for p in range(n)]
+            [float(np.mean(design_fields[bounds[p] : bounds[p + 1]])) for p in range(n)]
         )
         starts = np.array([spec.horizon * p / n for p in range(n)])
         ends = np.array(
             [spec.horizon * (p + 1) / n if p + 1 < n else spec.horizon for p in range(n)]
         )
-        self._train = PulseTrain(
-            horizon=spec.horizon, starts=starts, ends=ends, amplitudes=amps
-        )
+        self.realized[:] = [
+            PulseTrain(horizon=spec.horizon, starts=starts, ends=ends, amplitudes=amps)
+        ]
         f_applied = np.empty(n_steps + 1)
         for p in range(n):
             f_applied[bounds[p] : bounds[p + 1]] = amps[p]
         f_applied[n_steps] = amps[-1]
-        self._f_applied = f_applied
-        self._n_steps = n_steps
-        self._dt = dt
-        return KernelPlan(_kernels.LAW_REPLAY, delay_steps=0, f_ref=f_applied)
-
-    def field(self, t, psi, history):
-        if self._f_applied is None:
-            raise InputError("pulse-train law can only be evaluated inside a prepared run")
-        i = min(int(round(t / self._dt)), self._n_steps)
-        return float(self._f_applied[i])
-
-    def train(self) -> PulseTrain | None:
-        """The train realized by the most recent run, or None before any run."""
-        return self._train
+        return f_applied
 
 
 def pulsed_law(
@@ -179,11 +166,15 @@ def pulsed_law(
     """(FieldLaw, accessor) pair; the accessor yields the recorded PulseTrain.
 
     When no reference is given, the law runs the delay-free closed loop for
-    the run's initial state itself. One law instance serves exactly one
-    simulation at a time.
+    the run's initial state itself. The accessor returns the train of the
+    law's latest run, or None before any run. The law keeps only the
+    reference's times, fields and initial state.
     """
-    law = _PulseTrainLaw(sys, spec, reference)
-    return law, law.train
+    design = None
+    if reference is not None:
+        design = (reference.times, reference.fields, reference.states[0].copy())
+    law = _PulseTrainLaw(spec, design)
+    return law, lambda: law.realized[0] if law.realized else None
 
 
 def bang_bang_quantize(f_raw: float, spec: BangBangSpec) -> float:
@@ -191,49 +182,18 @@ def bang_bang_quantize(f_raw: float, spec: BangBangSpec) -> float:
     return float(_kernels.bang_quantize(float(f_raw), spec.f0, spec.deadband))
 
 
+@dataclass(frozen=True)
 class _BangBangLaw(FieldLaw):
-    def __init__(self, sys: ControlSystem, spec: BangBangSpec):
-        self._sys = sys
-        self._spec = spec
-        self._h1_target = sys.h1_target()
-        self._stride = 1
-        self._dt = None
-        self._amp = 0.0
+    spec: BangBangSpec
 
-    def _prepare(self, sys, psi0, n_steps, dt):
-        self._stride = max(1, int(round(self._spec.hold / dt)))
-        self._dt = dt
-        self._amp = 0.0
-        return KernelPlan(
-            _kernels.LAW_BANG,
-            stride=self._stride,
-            f0=self._spec.f0,
-            deadband=self._spec.deadband,
-        )
-
-    def field(self, t, psi, history):
-        if self._dt is None:
-            raise InputError("bang-bang law can only be evaluated inside a prepared run")
-        i = int(round(t / self._dt))
-        if i % self._stride == 0:
-            f_raw = _kernels.feedback_field(
-                self._sys.target, self._h1_target, self._sys.gain_k, psi
-            )
-            self._amp = float(
-                _kernels.bang_quantize(f_raw, self._spec.f0, self._spec.deadband)
-            )
-        return self._amp
+    def _compile(self, sys, psi0, n_steps, dt):
+        stride = max(1, int(round(self.spec.hold / dt)))
+        return _kernels.BangBang(stride, self.spec.f0, self.spec.deadband)
 
 
 def bang_bang_law(sys: ControlSystem, spec: BangBangSpec) -> FieldLaw:
     """FieldLaw quantizing the feedback to a three-level bang-bang signal."""
-    return _BangBangLaw(sys, spec)
-
-
-def _pulse_trial(args):
-    sys, count, psi0, reference, horizon, dt = args
-    law, _ = pulsed_law(sys, PulseTrainSpec(n_pulses=count, horizon=horizon), reference)
-    return simulate(sys, law, psi0, horizon, dt).final_fidelity
+    return _BangBangLaw(spec)
 
 
 def pulse_count_sweep(
@@ -249,26 +209,13 @@ def pulse_count_sweep(
     The state batch is shared across counts (paired design), as in the delay
     sweep, and each state's design run is computed once.
     """
-    counts = [int(c) for c in counts]
-    states = seeded_initial_states(sys.dim, n_states, seed)
-    references = parallel_map(
-        lambda psi0: simulate(sys, feedback_law(sys), psi0, horizon, dt), states
+    return paired_sweep(
+        sys,
+        [int(c) for c in counts],
+        lambda count, reference: pulsed_law(sys, PulseTrainSpec(count, horizon), reference)[0],
+        n_states,
+        seed,
+        horizon,
+        dt,
+        design=True,
     )
-    tasks = [
-        (sys, count, states[i], references[i], horizon, dt)
-        for count in counts
-        for i in range(n_states)
-    ]
-    finals = parallel_map(_pulse_trial, tasks)
-    points = []
-    for c_idx, count in enumerate(counts):
-        chunk = np.array(finals[c_idx * n_states : (c_idx + 1) * n_states])
-        points.append(
-            SweepPoint(
-                parameter=count,
-                mean_fidelity=float(np.mean(chunk)),
-                std_fidelity=float(np.std(chunk)),
-                n=n_states,
-            )
-        )
-    return points

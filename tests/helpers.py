@@ -1,8 +1,10 @@
 """Shared test oracles, kept independent of the code paths they check."""
 
+import math
+
 import numpy as np
 
-from lyapsim import control_field
+from lyapsim import _kernels, bang_bang_quantize, control_field, field_derivatives
 
 
 def random_unit_complex(rng, dim):
@@ -72,3 +74,58 @@ def loop_convergence_time(traj, threshold, hold):
         if j == n or times[j] > window_end + 1e-12:
             return float(times[i])
     return None
+
+
+def oracle_run(sys, psi0, horizon, dt, field_at, drift_tol=1e-6):
+    """Per-step reference loop: four-stage RK4 steps, field_at(i, states) held
+    across step i. Returns (states, fields, bad_step); the run stops at the
+    first step whose pre-renormalization drift exceeds drift_tol, else
+    bad_step is -1."""
+    n_steps = int(math.floor(horizon / dt + 1e-9))
+    states, fields = [np.asarray(psi0, dtype=np.complex128)], []
+    for i in range(n_steps + 1):
+        fields.append(float(field_at(i, states)))
+        if i == n_steps:
+            break
+        psi, drift = _kernels.rk4_step(sys.h0, sys.h1, fields[-1], dt, states[-1])
+        if not drift <= drift_tol:
+            return np.array(states), np.array(fields), i
+        states.append(psi)
+    return np.array(states), np.array(fields), -1
+
+
+def feedback_at(sys, delay_steps=0):
+    """The feedback of the state delay_steps ago; zero before it exists."""
+    return lambda i, s: control_field(s[i - delay_steps], sys) if i >= delay_steps else 0.0
+
+
+def taylor_at(sys, tau):
+    """f - f' tau + f'' tau^2 / 2 at the current state."""
+
+    def at(i, s):
+        df, d2f = field_derivatives(s[i], sys)
+        return control_field(s[i], sys) - df * tau + 0.5 * d2f * tau * tau
+
+    return at
+
+
+def bang_at(sys, spec, stride):
+    """The quantized feedback of the state at the latest multiple of stride."""
+    return lambda i, s: bang_bang_quantize(control_field(s[i - i % stride], sys), spec)
+
+
+def replay_at(design_fields, shift):
+    """design_fields shifted right by shift steps; zero outside the record."""
+    return lambda i, s: design_fields[i - shift] if 0 <= i - shift < len(design_fields) else 0.0
+
+
+def pulses_at(design_fields, n_pulses):
+    """Mean of design_fields over the pulse holding step i; pulse p starts at
+    step ceil(p n / n_pulses), and the last sample belongs to the last pulse."""
+    n = len(design_fields) - 1
+
+    def at(i, s):
+        p = min(i * n_pulses // n, n_pulses - 1)
+        return np.mean(design_fields[-(-p * n // n_pulses) : -(-(p + 1) * n // n_pulses)])
+
+    return at

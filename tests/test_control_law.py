@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyapsim import (
+    ControlSystem,
     InputError,
     LyapunovSpec,
     check_convergence,
@@ -17,7 +20,7 @@ from lyapsim import (
 )
 from lyapsim.control_law import DEGENERATE, MAXIMUM, MINIMUM, SADDLE
 
-from helpers import coupled_rk4_step, eq9_field, random_unit_complex
+from helpers import coupled_rk4_step, eq9_field, random_hermitian, random_unit_complex
 
 
 def basis(i, dim=5):
@@ -97,6 +100,25 @@ class TestLyapunovRate:
             psi = random_unit_complex(rng, 5)
             f = control_field(psi, sys5)
             assert lyapunov_rate(psi, sys5, f) == pytest.approx(-2.0 * f * f / sys5.gain_k, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(2, 8),
+        gain_k=st.floats(0.01, 100.0),
+        level=st.integers(0, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_descent_on_random_systems(self, dim, gain_k, level, seed):
+        # Random Hermitian H0 and H1, the target one of H0's eigenvectors.
+        rng = np.random.default_rng(seed)
+        h0 = random_hermitian(rng, dim)
+        target = np.linalg.eigh(h0)[1][:, level % dim]
+        sys = ControlSystem(h0=h0, h1=random_hermitian(rng, dim), target=target, gain_k=gain_k)
+        psi = random_unit_complex(rng, dim)
+        f = control_field(psi, sys)
+        rate = lyapunov_rate(psi, sys, f)
+        assert rate == pytest.approx(-2.0 * f * f / gain_k, rel=1e-12, abs=1e-15)
+        assert rate <= 0.0
 
     def test_matches_finite_difference(self, sys5, rng):
         spec = LyapunovSpec(target=sys5.target)

@@ -6,6 +6,7 @@ from lyapsim import (
     InputError,
     NumericalError,
     PiecewiseConstantLaw,
+    control_field,
     feedback_law,
     propagate_exact,
     rk4_step,
@@ -14,7 +15,7 @@ from lyapsim import (
 )
 from lyapsim.dynamics import FieldLaw
 
-from helpers import random_unit_complex
+from helpers import feedback_at, oracle_run, random_unit_complex
 
 
 def basis(i, dim=5):
@@ -181,17 +182,40 @@ class TestTrajectory:
 
 class TestGenericLoop:
     def test_generic_path_matches_kernel(self, sys5, rng):
+        # A user law through the field(t, psi) hook runs the built-in
+        # feedback law's arithmetic bit for bit; both follow the per-step
+        # reference loop.
+        class UserFeedback(FieldLaw):
+            def field(self, t, psi):
+                return control_field(psi, sys5)
+
         psi0 = random_unit_complex(rng, 5)
         fast = simulate(sys5, feedback_law(sys5), psi0, 10.0, 0.01)
-        slow = simulate(sys5, feedback_law(sys5), psi0, 10.0, 0.01, _force_generic=True)
-        assert np.array_equal(fast.states, slow.states)
-        assert np.array_equal(fast.fields, slow.fields)
+        user = simulate(sys5, UserFeedback(), psi0, 10.0, 0.01)
+        assert np.array_equal(fast.states, user.states)
+        assert np.array_equal(fast.fields, user.fields)
+        states, fields, bad_step = oracle_run(sys5, psi0, 10.0, 0.01, feedback_at(sys5))
+        assert bad_step == -1
+        assert np.max(np.abs(fast.fields - fields)) <= 1e-12
+        assert np.max(np.abs(fast.states - states)) <= 1e-12
 
     def test_custom_python_law(self, sys5):
         class ConstantLaw(FieldLaw):
-            def field(self, t, psi, history):
+            def field(self, t, psi):
                 return 0.25
 
         traj = simulate(sys5, ConstantLaw(), basis(1), 2.0, 0.01)
         exact = propagate_exact(sys5, [(2.0, 0.25)], basis(1))
         assert np.max(np.abs(traj.final_state - exact.final_state)) <= 1e-9
+
+    def test_user_law_sees_each_step_start(self, sys5, rng):
+        seen = []
+
+        class Recorder(FieldLaw):
+            def field(self, t, psi):
+                seen.append((t, psi.copy()))
+                return 0.1
+
+        traj = simulate(sys5, Recorder(), random_unit_complex(rng, 5), 1.0, 0.01)
+        assert np.array_equal([t for t, _ in seen], traj.times)
+        assert np.array_equal([psi for _, psi in seen], traj.states)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,9 +12,11 @@ from lyapsim import (
     check_convergence,
     config_to_dict,
     convergence_time,
+    delay_sweep,
     derive_rng,
     feedback_law,
     preset_5dim,
+    pulse_count_sweep,
     random_initial_state,
     random_scaling_instance,
     run_dimension_scaling,
@@ -253,3 +257,24 @@ class TestDimensionScaling:
         row = result.rows[0]
         if row.n_nonconverged == row.n_trials:
             assert row.mean_convergence_time == pytest.approx(160.0)
+
+
+class TestPairedSweep:
+    @pytest.mark.parametrize("sweep", ["replay-delay", "pulse-count"])
+    def test_design_runs_are_not_held(self, sys5, sweep):
+        # The trials keep only what their laws read of each state's design
+        # run, so 6 more states must cost less than three design-state arrays.
+        def peak(n_states):
+            tracemalloc.start()
+            try:
+                if sweep == "replay-delay":
+                    delay_sweep(sys5, [0.5], n_states, seed=7, mode="replay", horizon=20.0)
+                else:
+                    pulse_count_sweep(sys5, [10], n_states, seed=7, horizon=20.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first-call allocations are not the sweep's
+        state_bytes = 2001 * 5 * 16
+        assert peak(8) - peak(2) < 3 * state_bytes
