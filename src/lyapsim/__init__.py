@@ -8,7 +8,6 @@ sample-and-hold pulse trains, and bang-bang quantization.
 
 from .control_law import (
     ConvergenceReport,
-    LyapunovSpec,
     check_convergence,
     classify_critical_point,
     control_field,
@@ -25,13 +24,11 @@ from .dynamics import (
     PiecewiseConstantLaw,
     Trajectory,
     propagate_exact,
-    rk4_step,
     simulate,
 )
 from .errors import ConfigError, InputError, NumericalError
 from .experiments import (
     ExperimentConfig,
-    ScalingResult,
     ScalingRow,
     SweepPoint,
     build_config,
@@ -40,14 +37,12 @@ from .experiments import (
     derive_rng,
     preset_5dim,
     random_initial_state,
-    random_scaling_instance,
     run_dimension_scaling,
     seeded_initial_states,
 )
-from .linalg import expm_apply, hermitian_eigen, inner, apply
+from .linalg import expm_apply, hermitian_eigen
 from .shaping import (
     BangBangSpec,
-    PulseTrain,
     PulseTrainSpec,
     bang_bang_law,
     bang_bang_quantize,
@@ -67,16 +62,12 @@ __all__ = [
     "ExperimentConfig",
     "FieldLaw",
     "InputError",
-    "LyapunovSpec",
     "NumericalError",
     "PiecewiseConstantLaw",
-    "PulseTrain",
     "PulseTrainSpec",
-    "ScalingResult",
     "ScalingRow",
     "SweepPoint",
     "Trajectory",
-    "apply",
     "bang_bang_law",
     "bang_bang_quantize",
     "build_config",
@@ -93,7 +84,6 @@ __all__ = [
     "fidelity",
     "field_derivatives",
     "hermitian_eigen",
-    "inner",
     "lyapunov_rate",
     "lyapunov_value",
     "preset_5dim",
@@ -101,8 +91,6 @@ __all__ = [
     "pulse_count_sweep",
     "pulsed_law",
     "random_initial_state",
-    "random_scaling_instance",
-    "rk4_step",
     "run_dimension_scaling",
     "seeded_initial_states",
     "simulate",

@@ -83,9 +83,9 @@ def write_sweep_csv(points, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def write_scaling_csv(result, path, fidelity_time: float) -> None:
+def write_scaling_csv(rows, path, fidelity_time: float) -> None:
     lines = [f"dim,mean_convergence_time,n_nonconverged,mean_F_at_{fidelity_time:g}"]
-    for r in result.rows:
+    for r in rows:
         lines.append(
             f"{r.dim},{_fmt(r.mean_convergence_time)},{r.n_nonconverged},{_fmt(r.mean_fidelity)}"
         )
@@ -234,7 +234,7 @@ def _trajectory_for(cfg: ExperimentConfig, sys5) -> Trajectory:
             reference = simulate(sys5, feedback_law(sys5), psi0, cfg.horizon, cfg.dt)
         law = delayed_law(sys5, spec, reference)
     elif cfg.preset in ("fig2", "fig3"):
-        law, _ = pulsed_law(sys5, PulseTrainSpec(cfg.n_pulses, cfg.horizon))
+        law = pulsed_law(sys5, PulseTrainSpec(cfg.n_pulses, cfg.horizon))
     elif cfg.preset == "fig4":
         law = bang_bang_law(sys5, BangBangSpec(cfg.f0, cfg.deadband))
     elif cfg.preset == "custom":
@@ -285,11 +285,11 @@ def _cmd_pulse_sweep(cfg: ExperimentConfig, out_dir: Path) -> str:
 
 
 def _cmd_dim_scaling(cfg: ExperimentConfig, out_dir: Path) -> str:
-    result = run_dimension_scaling(cfg)
-    write_scaling_csv(result, out_dir / "scaling.csv", cfg.fidelity_time)
+    rows = run_dimension_scaling(cfg)
+    write_scaling_csv(rows, out_dir / "scaling.csv", cfg.fidelity_time)
     _write_manifest(out_dir, "dim-scaling", cfg, ["scaling.csv"])
-    mean = float(np.mean([r.mean_fidelity for r in result.rows]))
-    return f"dim-scaling: mean fidelity at t={cfg.fidelity_time:g} is {mean:.6f} across {len(result.rows)} dims"
+    mean = float(np.mean([r.mean_fidelity for r in rows]))
+    return f"dim-scaling: mean fidelity at t={cfg.fidelity_time:g} is {mean:.6f} across {len(rows)} dims"
 
 
 def _cmd_check(cfg: ExperimentConfig, out_dir: Path) -> str:

@@ -2,10 +2,10 @@
 
 The distance function is V(psi) = 1 - |<psi|target>|^2 and the synthesized
 field f = -k Im(<target|psi><psi|H1|target>) makes dV/dt = -(2/k) f^2 <= 0
-along the closed loop. Also provides the analytic field derivatives used by
-the delay expansion, the critical-point classifier on the projector
-A = I - |target><target|, and the spectral precondition check for the
-invariant set to reduce to the target.
+along the closed loop; the target and gain are the ControlSystem's. Also
+provides the analytic field derivatives used by the delay expansion, the
+critical-point classifier on the projector A = I - |target><target|, and the
+spectral precondition check for the invariant set to reduce to the target.
 """
 
 from __future__ import annotations
@@ -29,24 +29,6 @@ DEFAULT_COUPLING_TOL = 1e-9
 
 
 @dataclass
-class LyapunovSpec:
-    """Target state and gain defining V and the feedback field."""
-
-    target: np.ndarray
-    gain_k: float = 1.0
-
-    def __post_init__(self):
-        self.target = linalg.as_state(self.target)
-        if not self.gain_k > 0:
-            raise InputError(f"gain_k must be positive, got {self.gain_k}")
-
-    def projector(self) -> np.ndarray:
-        """A = I - |target><target|; Hermitian, idempotent, eigenvalues {0, 1}."""
-        dim = self.target.shape[0]
-        return np.eye(dim, dtype=np.complex128) - np.outer(self.target, self.target.conj())
-
-
-@dataclass
 class ConvergenceReport:
     """Spectral preconditions for the invariant set to reduce to the target."""
 
@@ -63,15 +45,15 @@ def _check_dim(psi: np.ndarray, dim: int) -> np.ndarray:
     return psi
 
 
-def lyapunov_value(psi: np.ndarray, spec: LyapunovSpec) -> float:
-    """V(psi) = 1 - |<psi|target>|^2, in [0, 1]."""
-    psi = _check_dim(psi, spec.target.shape[0])
-    return 1.0 - abs(np.vdot(psi, spec.target)) ** 2
+def lyapunov_value(psi: np.ndarray, target: np.ndarray) -> float:
+    """V(psi) = 1 - |<psi|target>|^2 = 1 - F, in [0, 1]."""
+    return 1.0 - fidelity(psi, target)
 
 
 def fidelity(psi: np.ndarray, target: np.ndarray) -> float:
-    """F(psi) = |<target|psi>|^2 = 1 - V."""
-    psi = _check_dim(psi, np.asarray(target).shape[0])
+    """F(psi) = |<target|psi>|^2 = 1 - V, for a unit-norm target."""
+    target = linalg.as_state(target)
+    psi = _check_dim(psi, target.shape[0])
     return abs(np.vdot(target, psi)) ** 2
 
 
@@ -114,7 +96,11 @@ class _RawFeedbackLaw(FieldLaw):
 
 
 def feedback_law(sys: ControlSystem) -> FieldLaw:
-    """FieldLaw applying the raw feedback field of the simulated system, undistorted."""
+    """FieldLaw applying the raw feedback field, undistorted.
+
+    The law is closed loop: it does not read sys and acts on the system
+    simulate is given.
+    """
     return _RawFeedbackLaw()
 
 

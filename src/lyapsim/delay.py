@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dynamics import ControlSystem, FieldLaw, Trajectory
+from .dynamics import ControlSystem, FieldLaw, Trajectory, check_design_system
 from .errors import InputError
 from .experiments import SweepPoint, paired_sweep
 
@@ -73,14 +73,17 @@ class _PastStateLaw(FieldLaw):
 
 @dataclass(frozen=True, eq=False)
 class _ReplayDelayLaw(FieldLaw):
-    """The reference run's field shifted by tau, applied open loop."""
+    """The reference run's field shifted by tau, applied open loop on the
+    system it was designed on."""
 
+    design_sys: ControlSystem
     tau: float
     ref_fields: np.ndarray
     ref_dt: float
     ref_end: float
 
     def _compile(self, sys, psi0, n_steps, dt):
+        check_design_system(self.design_sys, sys)
         _check_tau(self.tau, n_steps, dt)
         if abs(self.ref_dt - dt) > 1e-9 * max(1.0, dt):
             raise InputError(
@@ -113,9 +116,11 @@ class _TaylorDelayLaw(FieldLaw):
 def delayed_law(sys: ControlSystem, spec: DelaySpec, reference: Trajectory | None = None) -> FieldLaw:
     """FieldLaw realizing f(t - tau) by the mechanism the DelaySpec selects.
 
-    Replay mode needs the delay-free closed-loop run as reference; outside
-    its recorded window the applied field is zero. The law keeps only the
-    reference's field record.
+    History and Taylor modes are closed loop: they do not read sys and act
+    on the system simulate is given. Replay mode needs the delay-free
+    closed-loop run on sys as reference; outside its recorded window the
+    applied field is zero. The replay law keeps only the reference's field
+    record, and simulate refuses to run it on a system other than sys.
     """
     mode = spec.resolved_mode()
     if mode == "history":
@@ -129,6 +134,7 @@ def delayed_law(sys: ControlSystem, spec: DelaySpec, reference: Trajectory | Non
         if len(times) < 2:
             raise InputError("replay reference needs at least two samples")
         return _ReplayDelayLaw(
+            sys,
             spec.tau,
             np.asarray(reference.fields, dtype=np.float64),
             float(times[1] - times[0]),

@@ -72,6 +72,26 @@ class ControlSystem:
         return self.h1 @ self.target
 
 
+def check_design_system(designed_on: ControlSystem, sys: ControlSystem) -> None:
+    """Refuse to run a waveform designed on one system on another.
+
+    Two systems are the same when h0, h1, target and gain_k are exactly
+    equal; the identity test first keeps the common case free.
+    """
+    if designed_on is sys:
+        return
+    differ = [
+        name
+        for name in ("h0", "h1", "target", "gain_k")
+        if not np.array_equal(getattr(designed_on, name), getattr(sys, name))
+    ]
+    if differ:
+        raise InputError(
+            f"the law was designed on another system ({', '.join(differ)} differ); "
+            "it runs only on its design system"
+        )
+
+
 @dataclass
 class Trajectory:
     """Recorded run: sample times, states, applied field, V and F per sample."""
@@ -155,19 +175,6 @@ class PiecewiseConstantLaw(FieldLaw):
         t = np.arange(n_steps + 1) * dt
         segment = np.searchsorted(self._bounds, t + 1e-12, side="right")
         return np.append(self._values, 0.0)[segment]
-
-
-def rk4_step(sys: ControlSystem, psi: np.ndarray, f: float, dt: float) -> np.ndarray:
-    """Single RK4 step with the field held constant, renormalized to unit norm."""
-    if not dt > 0:
-        raise InputError(f"dt must be positive, got {dt}")
-    psi = linalg.as_state(psi)
-    if psi.shape[0] != sys.dim:
-        raise InputError(f"state dimension {psi.shape[0]} != system dimension {sys.dim}")
-    out, drift = _kernels.rk4_step(sys.h0, sys.h1, float(f), float(dt), psi)
-    if not (drift <= NORM_DRIFT_GUARD):
-        raise NumericalError(f"norm drift {drift:.3e} exceeds guard {NORM_DRIFT_GUARD:.0e}")
-    return out
 
 
 def _step_count(horizon: float, dt: float) -> int:

@@ -67,14 +67,11 @@ def _draw_scaling_levels(dim: int, rng: np.random.Generator, max_retries: int = 
     raise NumericalError(f"could not draw a {dim}-level spectrum with gap >= {MIN_SPECTRAL_GAP}")
 
 
-def random_scaling_instance(dim: int, rng: np.random.Generator) -> ControlSystem:
-    """Random diagonal-H0 instance with the star-coupled control Hamiltonian."""
-    sys, _ = random_scaling_instance_with_retries(dim, rng)
-    return sys
-
-
 def random_scaling_instance_with_retries(dim: int, rng: np.random.Generator):
-    """As random_scaling_instance, also reporting spectrum redraw count."""
+    """Random diagonal-H0 instance with the star-coupled control Hamiltonian.
+
+    Returns (system, number of spectrum redraws).
+    """
     if dim < 2:
         raise InputError(f"dim must be >= 2, got {dim}")
     levels, retries = _draw_scaling_levels(dim, rng)
@@ -165,17 +162,6 @@ class ScalingRow:
     n_trials: int
     n_nonconverged: int
     n_retries: int
-
-
-@dataclass
-class ScalingResult:
-    """Per-dimension convergence statistics for the scaling study."""
-
-    rows: list[ScalingRow]
-
-    def __post_init__(self):
-        if any(r.n_trials < 1 for r in self.rows):
-            raise InputError("every dimension needs at least one trial")
 
 
 PRESETS = ("fig1", "fig2", "fig3", "fig4", "fig5", "custom")
@@ -308,6 +294,11 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     for i, d in enumerate(cfg.dims):
         if d < 2:
             raise ConfigError(f"dims[{i}]: must be >= 2, got {d}")
+        if (d - 1) * MIN_SPECTRAL_GAP >= 1:
+            raise ConfigError(
+                f"dims[{i}]: {d} levels in (0, 1] cannot keep spectral gaps "
+                f">= {MIN_SPECTRAL_GAP:g}; need (d - 1) * {MIN_SPECTRAL_GAP:g} < 1"
+            )
     if sorted(cfg.dims) != cfg.dims:
         raise ConfigError("dims: must be ascending")
     if cfg.preset == "fig5":
@@ -340,8 +331,8 @@ def _scaling_trial(args):
     return t_conv, traj.fidelity_at(fidelity_time), retries
 
 
-def run_dimension_scaling(cfg: ExperimentConfig) -> ScalingResult:
-    """Convergence time and fixed-time fidelity versus system dimension.
+def run_dimension_scaling(cfg: ExperimentConfig) -> list[ScalingRow]:
+    """Convergence time and fixed-time fidelity versus system dimension, one row per dim.
 
     Each trial draws a fresh random instance and initial state from its own
     (seed, dim, trial) stream. Trials that never sustain the threshold are
@@ -369,4 +360,4 @@ def run_dimension_scaling(cfg: ExperimentConfig) -> ScalingResult:
                 n_retries=sum(r for _, _, r in chunk),
             )
         )
-    return ScalingResult(rows=rows)
+    return rows

@@ -51,26 +51,8 @@ def as_hermitian(matrix) -> np.ndarray:
     return m
 
 
-def inner(u: np.ndarray, v: np.ndarray) -> complex:
-    """Inner product <u|v>, conjugate-linear in the first argument."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape:
-        raise InputError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return complex(np.vdot(u, v))
-
-
 def norm(v: np.ndarray) -> float:
     return math.sqrt(np.vdot(v, v).real)
-
-
-def apply(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product H|v>."""
-    h = np.asarray(h)
-    v = np.asarray(v)
-    if h.ndim != 2 or h.shape[1] != v.shape[0]:
-        raise InputError(f"dimension mismatch: {h.shape} applied to {v.shape}")
-    return h @ v
 
 
 def hermitian_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,9 @@ experiment actually applies.
 
 A pulse train replaces the continuous field by equal-duration pulses whose
 amplitudes are the window averages of the delay-free design field for the
-run's initial state, applied open loop. Averaging is what lets a few tens of
+run's initial state, applied open loop. The train belongs to the system it
+was designed on and runs only there; the applied train is the run's
+Trajectory.fields, exact on the integration grid. Averaging is what lets a few tens of
 pulses track the field; sampling the instantaneous feedback at pulse
 boundaries instead locks the loop into a limit cycle once pulses span several
 time units and never converges.
@@ -22,13 +24,13 @@ descent slows to a creep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .control_law import feedback_law
-from .dynamics import ControlSystem, FieldLaw, Trajectory, simulate
+from .dynamics import ControlSystem, FieldLaw, Trajectory, check_design_system, simulate
 from .errors import InputError
 from .experiments import SweepPoint, paired_sweep
 
@@ -73,37 +75,6 @@ class BangBangSpec:
             raise InputError(f"hold must be positive, got {self.hold}")
 
 
-@dataclass
-class PulseTrain:
-    """Realized train: contiguous pulses covering [0, horizon] exactly."""
-
-    horizon: float
-    starts: np.ndarray
-    ends: np.ndarray
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.amplitudes)
-        if len(self.starts) != n or len(self.ends) != n or n == 0:
-            raise InputError("pulse train arrays must share one nonzero length")
-        if self.starts[0] != 0.0 or self.ends[-1] != self.horizon:
-            raise InputError("pulse train must cover [0, horizon]")
-        if not np.array_equal(self.ends[:-1], self.starts[1:]):
-            raise InputError("pulses must tile without gaps or overlaps")
-        if np.any(self.ends <= self.starts):
-            raise InputError("pulse durations must be positive")
-
-    def __len__(self) -> int:
-        return len(self.amplitudes)
-
-    def pulses(self) -> list[tuple[float, float, float]]:
-        """(start, duration, amplitude) triples."""
-        return [
-            (float(s), float(e - s), float(a))
-            for s, e, a in zip(self.starts, self.ends, self.amplitudes)
-        ]
-
-
 def _pulse_start_steps(n_steps: int, n_pulses: int) -> list[int]:
     """First grid step of each pulse (integer arithmetic, no drift)."""
     return [(p * n_steps + n_pulses - 1) // n_pulses for p in range(n_pulses)]
@@ -114,15 +85,16 @@ class _PulseTrainLaw(FieldLaw):
     """Window-averaged design field on a pulse grid, applied open loop.
 
     design is (times, fields, initial state) of the given design run, or None
-    to run the delay-free closed loop from the simulated state. realized
-    holds the train of the latest run.
+    to run the delay-free closed loop from the simulated state. Either way
+    the design belongs to design_sys, the only system the law runs on.
     """
 
+    design_sys: ControlSystem
     spec: PulseTrainSpec
     design: tuple | None
-    realized: list = field(default_factory=list)
 
     def _compile(self, sys, psi0, n_steps, dt):
+        check_design_system(self.design_sys, sys)
         spec = self.spec
         if abs(n_steps * dt - spec.horizon) > 1e-9 * max(1.0, spec.horizon):
             raise InputError(
@@ -143,38 +115,29 @@ class _PulseTrainLaw(FieldLaw):
 
         n = spec.n_pulses
         bounds = _pulse_start_steps(n_steps, n) + [n_steps]
-        amps = np.array(
-            [float(np.mean(design_fields[bounds[p] : bounds[p + 1]])) for p in range(n)]
-        )
-        starts = np.array([spec.horizon * p / n for p in range(n)])
-        ends = np.array(
-            [spec.horizon * (p + 1) / n if p + 1 < n else spec.horizon for p in range(n)]
-        )
-        self.realized[:] = [
-            PulseTrain(horizon=spec.horizon, starts=starts, ends=ends, amplitudes=amps)
-        ]
         f_applied = np.empty(n_steps + 1)
         for p in range(n):
-            f_applied[bounds[p] : bounds[p + 1]] = amps[p]
-        f_applied[n_steps] = amps[-1]
+            f_applied[bounds[p] : bounds[p + 1]] = np.mean(design_fields[bounds[p] : bounds[p + 1]])
+        f_applied[n_steps] = f_applied[n_steps - 1]
         return f_applied
 
 
 def pulsed_law(
     sys: ControlSystem, spec: PulseTrainSpec, reference: Trajectory | None = None
-):
-    """(FieldLaw, accessor) pair; the accessor yields the recorded PulseTrain.
+) -> FieldLaw:
+    """FieldLaw applying the pulse train designed on sys, open loop.
 
-    When no reference is given, the law runs the delay-free closed loop for
-    the run's initial state itself. The accessor returns the train of the
-    law's latest run, or None before any run. The law keeps only the
-    reference's times, fields and initial state.
+    Pulse p holds grid steps ceil(p n / n_pulses) up to the next pulse's
+    start, and the run's traj.fields is the applied train. When no reference
+    is given, the law runs the delay-free closed loop on sys for the run's
+    initial state itself. The law keeps only the reference's times, fields
+    and initial state, and simulate refuses to run it on a system other
+    than sys.
     """
     design = None
     if reference is not None:
         design = (reference.times, reference.fields, reference.states[0].copy())
-    law = _PulseTrainLaw(spec, design)
-    return law, lambda: law.realized[0] if law.realized else None
+    return _PulseTrainLaw(sys, spec, design)
 
 
 def bang_bang_quantize(f_raw: float, spec: BangBangSpec) -> float:
@@ -192,7 +155,11 @@ class _BangBangLaw(FieldLaw):
 
 
 def bang_bang_law(sys: ControlSystem, spec: BangBangSpec) -> FieldLaw:
-    """FieldLaw quantizing the feedback to a three-level bang-bang signal."""
+    """FieldLaw quantizing the feedback to a three-level bang-bang signal.
+
+    The law is closed loop: it does not read sys and acts on the system
+    simulate is given.
+    """
     return _BangBangLaw(spec)
 
 
@@ -212,7 +179,7 @@ def pulse_count_sweep(
     return paired_sweep(
         sys,
         [int(c) for c in counts],
-        lambda count, reference: pulsed_law(sys, PulseTrainSpec(count, horizon), reference)[0],
+        lambda count, reference: pulsed_law(sys, PulseTrainSpec(count, horizon), reference),
         n_states,
         seed,
         horizon,

@@ -1,10 +1,11 @@
 """Shared test oracles, kept independent of the code paths they check."""
 
+import dataclasses
 import math
 
 import numpy as np
 
-from lyapsim import _kernels, bang_bang_quantize, control_field, field_derivatives
+from lyapsim import ControlSystem, _kernels, bang_bang_quantize, control_field, field_derivatives
 
 
 def random_unit_complex(rng, dim):
@@ -15,6 +16,29 @@ def random_unit_complex(rng, dim):
 def random_hermitian(rng, dim):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (m + m.conj().T) / 2
+
+
+def random_system(rng, dim, level, gain_k):
+    """Random Hermitian H0 and H1, the target H0's eigenvector number level % dim."""
+    h0 = random_hermitian(rng, dim)
+    target = np.linalg.eigh(h0)[1][:, level % dim]
+    return ControlSystem(h0=h0, h1=random_hermitian(rng, dim), target=target, gain_k=gain_k)
+
+
+def projector(target):
+    """A = I - |target><target|, whose quadratic form <psi|A|psi> is V."""
+    return np.eye(len(target), dtype=np.complex128) - np.outer(target, np.conj(target))
+
+
+def altered_systems(sys):
+    """{name: copy of sys with only that field changed} for h0, h1, target
+    and gain_k; the new target is H0's top eigenvector, so sys's must not be."""
+    return {
+        "h0": dataclasses.replace(sys, h0=sys.h0 / 2),
+        "h1": dataclasses.replace(sys, h1=2 * sys.h1),
+        "target": dataclasses.replace(sys, target=np.linalg.eigh(sys.h0)[1][:, -1]),
+        "gain_k": dataclasses.replace(sys, gain_k=2 * sys.gain_k),
+    }
 
 
 def closed_loop_rhs(sys, psi):

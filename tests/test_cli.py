@@ -214,6 +214,21 @@ class TestMain:
                      "--horizon", "5", "--seed", "1", "--out", str(out)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "dims, code, err",
+        [
+            # 1001 levels 1e-3 apart with the top at 1 put the lowest at 0,
+            # outside (0, 1]: the smallest size no spectrum exists for.
+            ("[4, 1001]", 1, "error: dims[1]: 1001 levels in (0, 1] cannot keep spectral gaps"),
+            # 300 levels can, but uniform draws practically never do.
+            ("[300]", 2, "numerical failure: could not draw a 300-level spectrum"),
+        ],
+    )
+    def test_spectral_gap_bound_on_dims(self, dims, code, err, tmp_path, capsys):
+        config = self._config(tmp_path, f'{{"preset":"fig5","n_states":1,"dims":{dims}}}')
+        assert main(["dim-scaling", "--config", str(config), "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err.startswith(err)
+
     def test_horizon_beyond_memory_is_a_config_error(self, tmp_path, capsys):
         code = main(["simulate", "--horizon", "1e12", "--out", str(tmp_path / "out")])
         assert code == 1

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyapsim import (
-    ControlSystem,
     InputError,
-    LyapunovSpec,
     check_convergence,
     classify_critical_point,
     control_field,
@@ -20,7 +18,7 @@ from lyapsim import (
 )
 from lyapsim.control_law import DEGENERATE, MAXIMUM, MINIMUM, SADDLE
 
-from helpers import coupled_rk4_step, eq9_field, random_hermitian, random_unit_complex
+from helpers import coupled_rk4_step, eq9_field, projector, random_system, random_unit_complex
 
 
 def basis(i, dim=5):
@@ -31,33 +29,31 @@ def basis(i, dim=5):
 
 class TestLyapunovValue:
     def test_target_state(self, sys5):
-        spec = LyapunovSpec(target=sys5.target)
-        assert lyapunov_value(sys5.target, spec) == 0.0
+        assert lyapunov_value(sys5.target, sys5.target) == 0.0
 
     def test_orthogonal_state(self, sys5):
-        spec = LyapunovSpec(target=sys5.target)
-        assert lyapunov_value(basis(3), spec) == 1.0
+        assert lyapunov_value(basis(3), sys5.target) == 1.0
 
     def test_equal_superposition(self, sys5):
-        spec = LyapunovSpec(target=sys5.target)
         psi = (basis(0) + basis(1)) / np.sqrt(2)
-        assert lyapunov_value(psi, spec) == pytest.approx(0.5, abs=1e-15)
+        assert lyapunov_value(psi, sys5.target) == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_projector_quadratic_form(self, sys5, rng):
-        spec = LyapunovSpec(target=sys5.target)
-        a = spec.projector()
+        a = projector(sys5.target)
         assert np.max(np.abs(a - a.conj().T)) <= 1e-15
         assert np.max(np.abs(a @ a - a)) <= 1e-12
         assert np.allclose(np.sort(np.linalg.eigvalsh(a)), [0, 1, 1, 1, 1], atol=1e-12)
         for _ in range(20):
             psi = random_unit_complex(rng, 5)
-            direct = lyapunov_value(psi, spec)
+            direct = lyapunov_value(psi, sys5.target)
             quad = np.vdot(psi, a @ psi).real
             assert direct == pytest.approx(quad, abs=1e-12)
 
     def test_dimension_mismatch(self, sys5):
         with pytest.raises(InputError):
-            lyapunov_value(np.ones(4) / 2, LyapunovSpec(target=sys5.target))
+            lyapunov_value(np.ones(4) / 2, sys5.target)
+        with pytest.raises(InputError):  # the target must be a unit vector
+            lyapunov_value(sys5.target, 2 * sys5.target)
 
 
 class TestControlField:
@@ -111,9 +107,7 @@ class TestLyapunovRate:
     def test_descent_on_random_systems(self, dim, gain_k, level, seed):
         # Random Hermitian H0 and H1, the target one of H0's eigenvectors.
         rng = np.random.default_rng(seed)
-        h0 = random_hermitian(rng, dim)
-        target = np.linalg.eigh(h0)[1][:, level % dim]
-        sys = ControlSystem(h0=h0, h1=random_hermitian(rng, dim), target=target, gain_k=gain_k)
+        sys = random_system(rng, dim, level, gain_k)
         psi = random_unit_complex(rng, dim)
         f = control_field(psi, sys)
         rate = lyapunov_rate(psi, sys, f)
@@ -121,13 +115,12 @@ class TestLyapunovRate:
         assert rate <= 0.0
 
     def test_matches_finite_difference(self, sys5, rng):
-        spec = LyapunovSpec(target=sys5.target)
         h = 1e-4
         for _ in range(20):
             psi = random_unit_complex(rng, 5)
             f = control_field(psi, sys5)
-            vp = lyapunov_value(coupled_rk4_step(sys5, psi, h), spec)
-            vm = lyapunov_value(coupled_rk4_step(sys5, psi, -h), spec)
+            vp = lyapunov_value(coupled_rk4_step(sys5, psi, h), sys5.target)
+            vm = lyapunov_value(coupled_rk4_step(sys5, psi, -h), sys5.target)
             fd = (vp - vm) / (2 * h)
             an = lyapunov_rate(psi, sys5, f)
             assert fd == pytest.approx(an, rel=1e-4, abs=1e-10)
@@ -180,14 +173,13 @@ class TestClassifyCriticalPoint:
             classify_critical_point([0.0, 1.0], 5)
 
     def test_brute_force_sign_patterns(self, sys5, rng):
-        spec = LyapunovSpec(target=sys5.target)
         for c in range(5):
             psi_c = basis(c)
             deltas = []
             for _ in range(200):
                 pert = psi_c + 1e-3 * random_unit_complex(rng, 5)
                 pert = pert / np.linalg.norm(pert)
-                deltas.append(lyapunov_value(pert, spec) - lyapunov_value(psi_c, spec))
+                deltas.append(lyapunov_value(pert, sys5.target) - lyapunov_value(psi_c, sys5.target))
             deltas = np.array(deltas)
             if c == 0:  # the target: V minimal
                 assert np.all(deltas >= -1e-10)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from lyapsim import (
     seeded_initial_states,
     simulate,
 )
+
+from helpers import altered_systems
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +83,15 @@ class TestDelayedLaw:
         traj = simulate(sys5, law, psi0, 20.0, 0.01)
         assert np.array_equal(traj.fields[30:], ref.fields[: len(ref) - 30])
         assert np.all(traj.fields[:30] == 0.0)
+
+    def test_replay_runs_only_on_its_design_system(self, sys5, psi0):
+        ref = simulate(sys5, feedback_law(sys5), psi0, 20.0, 0.01)
+        law = delayed_law(sys5, DelaySpec(0.3, "replay"), reference=ref)
+        for name, other in altered_systems(sys5).items():
+            with pytest.raises(InputError, match=rf"another system \({name} differ"):
+                simulate(other, law, psi0, 20.0, 0.01)
+        same = simulate(dataclasses.replace(sys5), law, psi0, 20.0, 0.01)
+        assert np.array_equal(same.states, simulate(sys5, law, psi0, 20.0, 0.01).states)
 
     def test_tau_beyond_horizon_rejected(self, sys5, psi0):
         law = delayed_law(sys5, DelaySpec(50.0, "history"))

@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyapsim import (
+    BangBangSpec,
     ControlSystem,
     InputError,
     NumericalError,
     PiecewiseConstantLaw,
+    bang_bang_law,
     control_field,
     feedback_law,
     propagate_exact,
-    rk4_step,
     seeded_initial_states,
     simulate,
 )
+from lyapsim._kernels import rk4_step
 from lyapsim.dynamics import FieldLaw
 
-from helpers import feedback_at, oracle_run, random_unit_complex
+from helpers import feedback_at, oracle_run, random_system, random_unit_complex
 
 
 def basis(i, dim=5):
@@ -40,24 +44,23 @@ class TestControlSystem:
 
 
 class TestRk4Step:
+    """The four-stage step the per-step reference loop of helpers.py runs."""
+
     def test_free_phase_oracle(self, sys5):
         # e1 is an H0 eigenstate with energy 0.2: one step is a pure phase.
-        out = rk4_step(sys5, basis(0), 0.0, 0.01)
+        out, _ = rk4_step(sys5.h0, sys5.h1, 0.0, 0.01, basis(0))
         assert np.max(np.abs(out - np.exp(-0.002j) * basis(0))) <= 1e-10
 
     def test_small_step_limit(self, sys5, rng):
         psi = random_unit_complex(rng, 5)
-        out = rk4_step(sys5, psi, 0.1, 1e-8)
+        out, _ = rk4_step(sys5.h0, sys5.h1, 0.1, 1e-8, psi)
         assert np.max(np.abs(out - psi)) <= 1e-7
 
     def test_renormalized_output(self, sys5, rng):
         psi = random_unit_complex(rng, 5)
-        out = rk4_step(sys5, psi, 0.4, 0.01)
+        out, drift = rk4_step(sys5.h0, sys5.h1, 0.4, 0.01, psi)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-14
-
-    def test_rejects_nonpositive_dt(self, sys5):
-        with pytest.raises(InputError):
-            rk4_step(sys5, basis(0), 0.0, 0.0)
+        assert drift <= 1e-8
 
 
 class TestSimulate:
@@ -84,6 +87,26 @@ class TestSimulate:
         norms = np.linalg.norm(traj.states, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dim=st.integers(2, 8),
+        gain_k=st.floats(0.01, 100.0),
+        level=st.integers(0, 7),
+        seed=st.integers(0, 2**32 - 1),
+        bang=st.booleans(),
+    )
+    def test_unit_norm_on_random_systems(self, dim, gain_k, level, seed, bang):
+        # A strong drive may trip the drift guard; a run that completes keeps
+        # every recorded state on the unit sphere.
+        rng = np.random.default_rng(seed)
+        sys = random_system(rng, dim, level, gain_k)
+        law = bang_bang_law(sys, BangBangSpec()) if bang else feedback_law(sys)
+        try:
+            traj = simulate(sys, law, random_unit_complex(rng, dim), 2.0, 0.01)
+        except NumericalError:
+            return
+        assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) <= 1e-12
+
     def test_per_step_drift_before_renormalization(self, sys5):
         from lyapsim import _kernels
 
@@ -101,8 +124,10 @@ class TestSimulate:
             simulate(sys5, law, random_unit_complex(rng, 5), 1.0, 0.01)
 
     def test_horizon_shorter_than_step(self, sys5):
-        with pytest.raises(InputError):
-            simulate(sys5, feedback_law(sys5), basis(0), 0.001, 0.01)
+        # No whole step fits: the horizon is under dt, or dt is not positive.
+        for horizon, dt in ((0.001, 0.01), (1.0, 0.0), (1.0, -0.01)):
+            with pytest.raises(InputError):
+                simulate(sys5, feedback_law(sys5), basis(0), horizon, dt)
 
     def test_records_initial_condition_first(self, sys5, rng):
         psi0 = random_unit_complex(rng, 5)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -18,11 +19,16 @@ from lyapsim import (
     preset_5dim,
     pulse_count_sweep,
     random_initial_state,
-    random_scaling_instance,
     run_dimension_scaling,
     simulate,
 )
-from lyapsim.experiments import CONVERGENCE_HOLD, MIN_SPECTRAL_GAP, _scaling_trial
+from lyapsim.experiments import (
+    CONVERGENCE_HOLD,
+    MIN_SPECTRAL_GAP,
+    PRESETS,
+    _scaling_trial,
+    random_scaling_instance_with_retries,
+)
 
 from helpers import loop_convergence_time
 
@@ -70,10 +76,14 @@ class TestRandomInitialState:
         assert np.max(means) - np.min(means) <= 6 * se
 
 
+def random_instance(dim, rng):
+    return random_scaling_instance_with_retries(dim, rng)[0]
+
+
 class TestRandomScalingInstance:
     @pytest.mark.parametrize("dim", [4, 7, 12])
     def test_structure(self, dim):
-        sys_d = random_scaling_instance(dim, derive_rng(5, dim, 0))
+        sys_d = random_instance(dim, derive_rng(5, dim, 0))
         diag = np.diag(sys_d.h0).real
         assert np.array_equal(sys_d.h0, np.diag(np.diag(sys_d.h0)))
         assert diag.max() == 1.0
@@ -87,12 +97,12 @@ class TestRandomScalingInstance:
     def test_every_instance_passes_precondition_check(self):
         for dim in (4, 6, 9):
             for trial in range(5):
-                sys_d = random_scaling_instance(dim, derive_rng(17, dim, trial))
+                sys_d = random_instance(dim, derive_rng(17, dim, trial))
                 assert check_convergence(sys_d).invariant_set_trivial
 
     def test_deterministic(self):
-        a = random_scaling_instance(6, derive_rng(1, 6, 2))
-        b = random_scaling_instance(6, derive_rng(1, 6, 2))
+        a = random_instance(6, derive_rng(1, 6, 2))
+        b = random_instance(6, derive_rng(1, 6, 2))
         assert np.array_equal(a.h0, b.h0)
 
 
@@ -188,6 +198,42 @@ class TestConvergenceTime:
         assert t_low <= t_high
 
 
+_POSITIVE = st.floats(0.0, 1e300, exclude_min=True)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_config_mappings(draw):
+    """Config mappings build_config accepts: every preset, each optional key
+    within its validated range, horizon >= dt and fidelity_time <= horizon."""
+    horizon = draw(_POSITIVE)
+    mapping = {
+        "preset": draw(st.sampled_from(PRESETS)),
+        "horizon": horizon,
+        "dt": draw(st.floats(0.0, horizon, exclude_min=True)),
+        "fidelity_time": draw(st.floats(0.0, horizon, exclude_min=True)),
+    }
+    optional = {
+        "seed": st.integers(0, 2**63),
+        "n_states": st.integers(1, 10**6),
+        "n_pulses": st.integers(1, 10**6),
+        "gain_k": _POSITIVE,
+        "f0": _POSITIVE,
+        "tau": _FINITE,
+        "deadband": st.floats(0.0, 1e300),
+        "threshold": st.floats(0.0, 1.0, exclude_min=True),
+        "delay_mode": st.sampled_from(["auto", "history", "replay", "taylor"]),
+        "full_state": st.booleans(),
+        "taus": st.lists(_FINITE, min_size=1, max_size=8),
+        "pulse_counts": st.lists(st.integers(1, 10**6), min_size=1, max_size=8),
+        "dims": st.lists(st.integers(2, 1000), min_size=1, max_size=8).map(sorted),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            mapping[key] = draw(values)
+    return mapping
+
+
 class TestConfig:
     def test_minimal_fig4_defaults(self):
         cfg = build_config({"preset": "fig4", "seed": 7})
@@ -227,9 +273,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="fidelity_time"):
             build_config({"preset": "fig5", "horizon": 100.0})
 
-    def test_round_trip(self):
-        cfg = build_config({"preset": "fig3", "seed": 11, "pulse_counts": [10, 50], "dt": 0.02})
-        assert build_config(config_to_dict(cfg)) == cfg
+    @settings(max_examples=300, deadline=None)
+    @given(valid_config_mappings())
+    @example({"preset": "fig3", "seed": 11, "pulse_counts": [10, 50], "dt": 0.02})
+    def test_round_trip(self, mapping):
+        cfg = build_config(mapping)
+        assert build_config(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 class TestDimensionScaling:
@@ -238,8 +287,7 @@ class TestDimensionScaling:
             {"preset": "fig5", "seed": 13, "dims": [5], "n_states": 3,
              "horizon": 160.0, "fidelity_time": 150.0}
         )
-        result = run_dimension_scaling(cfg)
-        row = result.rows[0]
+        (row,) = run_dimension_scaling(cfg)
         assert row.n_trials == 3
         direct = [
             _scaling_trial((13, 5, t, 160.0, 0.01, 0.95, 150.0)) for t in range(3)
@@ -253,8 +301,7 @@ class TestDimensionScaling:
             {"preset": "fig5", "seed": 2, "dims": [16], "n_states": 2,
              "horizon": 160.0, "fidelity_time": 150.0}
         )
-        result = run_dimension_scaling(cfg)
-        row = result.rows[0]
+        (row,) = run_dimension_scaling(cfg)
         if row.n_nonconverged == row.n_trials:
             assert row.mean_convergence_time == pytest.approx(160.0)
 

@@ -128,7 +128,7 @@ def _laws(sys5, psi0):
         "history": (delayed_law(sys5, DelaySpec(0.5, "history")), feedback_at(sys5, 50)),
         "taylor": (delayed_law(sys5, DelaySpec(-0.5, "taylor")), taylor_at(sys5, -0.5)),
         "replay": (delayed_law(sys5, DelaySpec(-0.3, "replay"), reference), replay_at(design, -30)),
-        "pulses": (pulsed_law(sys5, PulseTrainSpec(7, 30.0), reference)[0], pulses_at(design, 7)),
+        "pulses": (pulsed_law(sys5, PulseTrainSpec(7, 30.0), reference), pulses_at(design, 7)),
         # 30 is a whole number of 0.5 holds: the last sample re-quantizes.
         "bang": (bang_bang_law(sys5, hold), bang_at(sys5, hold, 50)),
         "bang-per-step": (bang_bang_law(sys5, per_step), bang_at(sys5, per_step, 1)),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lyapsim import InputError, apply, expm_apply, hermitian_eigen, inner
+from lyapsim import InputError, expm_apply, hermitian_eigen
 from lyapsim.linalg import as_hermitian, as_state, as_vector
 
 from helpers import random_hermitian, random_unit_complex
@@ -11,54 +11,6 @@ def basis(i, dim=5):
     e = np.zeros(dim, dtype=np.complex128)
     e[i] = 1.0
     return e
-
-
-class TestInner:
-    def test_orthonormal_basis(self):
-        assert inner(basis(0), basis(0)) == 1.0
-        assert inner(basis(0), basis(1)) == 0.0
-
-    def test_conjugates_first_argument(self):
-        u = np.array([1.0, 1.0j]) / np.sqrt(2)
-        v = np.array([1.0, 0.0], dtype=np.complex128)
-        # <u|v> = conj(1/sqrt(2)) * 1 = 1/sqrt(2)
-        assert inner(u, v) == pytest.approx(1 / np.sqrt(2), abs=1e-15)
-
-    def test_conjugate_linearity(self, rng):
-        u = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        alpha = complex(0.3, -1.7)
-        assert inner(alpha * u, v) == pytest.approx(np.conj(alpha) * inner(u, v), abs=1e-12)
-        assert inner(u, alpha * v) == pytest.approx(alpha * inner(u, v), abs=1e-12)
-
-    def test_self_inner_real_nonnegative(self, rng):
-        for _ in range(50):
-            v = rng.normal(size=6) + 1j * rng.normal(size=6)
-            val = inner(v, v)
-            assert val.imag == 0.0
-            assert val.real >= 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            inner(np.ones(3), np.ones(4))
-
-
-class TestApply:
-    def test_control_hamiltonian_on_ground(self, sys5):
-        out = apply(sys5.h1, basis(0))
-        assert np.array_equal(out, np.array([0, 1, 1, 1, 1], dtype=np.complex128))
-
-    def test_identity(self, rng):
-        v = rng.normal(size=7) + 1j * rng.normal(size=7)
-        assert np.array_equal(apply(np.eye(7), v), v)
-
-    def test_free_hamiltonian_eigenvector(self, sys5):
-        out = apply(sys5.h0, basis(2))
-        assert np.allclose(out, 0.8 * basis(2), atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            apply(np.eye(3), np.ones(4))
 
 
 class TestHermitianEigen:

@@ -19,6 +19,8 @@ from lyapsim import (
 )
 from lyapsim.experiments import BANG_BANG_STATE
 
+from helpers import altered_systems
+
 
 @pytest.fixture(scope="module")
 def psi0():
@@ -74,7 +76,7 @@ class TestPulseTrain:
     def test_refinement_limit_reproduces_continuous(self, sys5, psi0):
         # one pulse per integrator step: the train is exactly the design field
         n_steps = 2000
-        law, _ = pulsed_law(sys5, PulseTrainSpec(n_pulses=n_steps, horizon=20.0))
+        law = pulsed_law(sys5, PulseTrainSpec(n_pulses=n_steps, horizon=20.0))
         pulsed = simulate(sys5, law, psi0, 20.0, 0.01)
         raw = simulate(sys5, feedback_law(sys5), psi0, 20.0, 0.01)
         assert np.array_equal(pulsed.states, raw.states)
@@ -83,43 +85,55 @@ class TestPulseTrain:
         assert np.array_equal(pulsed.fields[:-1], raw.fields[:-1])
 
     def test_recorded_train_tiles_horizon(self, sys5, psi0):
-        law, train_of = pulsed_law(sys5, PulseTrainSpec(n_pulses=7, horizon=20.0))
-        simulate(sys5, law, psi0, 20.0, 0.01)
-        train = train_of()
-        assert len(train) == 7
-        assert train.starts[0] == 0.0
-        assert train.ends[-1] == 20.0
-        assert np.array_equal(train.ends[:-1], train.starts[1:])
+        # The applied train is traj.fields. 7 pulses do not divide 2000
+        # steps: pulse p starts at step ceil(p * 2000 / 7), so the field
+        # switches at t = 2.86, 5.72, ..., and the last sample holds the
+        # last pulse.
+        law = pulsed_law(sys5, PulseTrainSpec(n_pulses=7, horizon=20.0))
+        traj = simulate(sys5, law, psi0, 20.0, 0.01)
+        switches = np.flatnonzero(np.diff(traj.fields)) + 1
+        assert switches.tolist() == [-(-p * 2000 // 7) for p in range(1, 7)]
+        assert traj.times[switches[:2]].tolist() == pytest.approx([2.86, 5.72], abs=1e-12)
+        assert traj.times[-1] == 20.0
 
     def test_amplitudes_vary(self, sys5, psi0):
-        law, train_of = pulsed_law(sys5, PulseTrainSpec(n_pulses=50, horizon=150.0))
-        simulate(sys5, law, psi0, 150.0, 0.01)
-        amps = train_of().amplitudes
-        assert len(np.unique(amps)) > 40
+        law = pulsed_law(sys5, PulseTrainSpec(n_pulses=50, horizon=150.0))
+        traj = simulate(sys5, law, psi0, 150.0, 0.01)
+        assert len(np.unique(traj.fields)) > 40
 
     def test_duration_below_dt_rejected(self, sys5, psi0):
-        law, _ = pulsed_law(sys5, PulseTrainSpec(n_pulses=3000, horizon=20.0))
+        law = pulsed_law(sys5, PulseTrainSpec(n_pulses=3000, horizon=20.0))
         with pytest.raises(InputError):
             simulate(sys5, law, psi0, 20.0, 0.01)
 
     def test_horizon_mismatch_rejected(self, sys5, psi0):
-        law, _ = pulsed_law(sys5, PulseTrainSpec(n_pulses=10, horizon=30.0))
+        law = pulsed_law(sys5, PulseTrainSpec(n_pulses=10, horizon=30.0))
         with pytest.raises(InputError):
             simulate(sys5, law, psi0, 20.0, 0.01)
 
     def test_mismatched_reference_rejected(self, sys5, psi0, rng):
         other = seeded_initial_states(5, 2, seed=99)[1]
         ref = simulate(sys5, feedback_law(sys5), other, 20.0, 0.01)
-        law, _ = pulsed_law(sys5, PulseTrainSpec(n_pulses=10, horizon=20.0), reference=ref)
+        law = pulsed_law(sys5, PulseTrainSpec(n_pulses=10, horizon=20.0), reference=ref)
         with pytest.raises(InputError):
             simulate(sys5, law, psi0, 20.0, 0.01)
+
+    @pytest.mark.parametrize("with_reference", [False, True])
+    def test_runs_only_on_its_design_system(self, sys5, psi0, with_reference):
+        ref = simulate(sys5, feedback_law(sys5), psi0, 20.0, 0.01) if with_reference else None
+        law = pulsed_law(sys5, PulseTrainSpec(n_pulses=10, horizon=20.0), reference=ref)
+        for name, other in altered_systems(sys5).items():
+            with pytest.raises(InputError, match=rf"another system \({name} differ"):
+                simulate(other, law, psi0, 20.0, 0.01)
+        same = simulate(dataclasses.replace(sys5), law, psi0, 20.0, 0.01)
+        assert np.array_equal(same.states, simulate(sys5, law, psi0, 20.0, 0.01).states)
 
     def test_fifty_pulses_near_continuous(self, sys5):
         states = seeded_initial_states(5, 10, seed=7)
         base = [simulate(sys5, feedback_law(sys5), s, 150.0, 0.01).final_fidelity for s in states]
         pulsed = []
         for s in states:
-            law, _ = pulsed_law(sys5, PulseTrainSpec(n_pulses=50, horizon=150.0))
+            law = pulsed_law(sys5, PulseTrainSpec(n_pulses=50, horizon=150.0))
             pulsed.append(simulate(sys5, law, s, 150.0, 0.01).final_fidelity)
         assert abs(np.mean(base) - np.mean(pulsed)) <= 0.05
         assert np.mean(pulsed) >= 0.9
@@ -130,7 +144,7 @@ class TestPulseTrain:
         cont, pulsed = [], []
         for s in seeded_initial_states(5, 10, seed=7):
             ref = simulate(sys5, feedback_law(sys5), s, horizon, 0.01)
-            law, _ = pulsed_law(sys5, PulseTrainSpec(50, horizon), reference=ref)
+            law = pulsed_law(sys5, PulseTrainSpec(50, horizon), reference=ref)
             traj = simulate(sys5, law, s, horizon, 0.01)
             t_ref = convergence_time(ref, 0.95)
             t_tr = convergence_time(traj, 0.95)
@@ -142,7 +156,7 @@ class TestPulseTrain:
         raw = simulate(sys5, feedback_law(sys5), psi0, 150.0, 0.01)
         dists = []
         for n in (25, 50, 100, 200):
-            law, _ = pulsed_law(sys5, PulseTrainSpec(n_pulses=n, horizon=150.0), reference=raw)
+            law = pulsed_law(sys5, PulseTrainSpec(n_pulses=n, horizon=150.0), reference=raw)
             traj = simulate(sys5, law, psi0, 150.0, 0.01)
             dists.append(np.max(np.abs(traj.final_state - raw.final_state)))
         assert all(dists[i + 1] < dists[i] for i in range(3))
