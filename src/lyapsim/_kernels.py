@@ -6,28 +6,31 @@ exp(B0 + f B1), B = -i dt H, and so exactly a polynomial in f:
 
     R(f) = sum_{k<=4} f^k M_k.
 
-`rk4_matrices` builds the M_k once per (system, dt). A `Stepper` stacks them
-with the linear functionals the field laws read (t^dag and w^dag, where t is
-the target and w = H1 t; for the Taylor law also t^dag X and w^dag X for
+`rk4_matrices` builds the M_k once per (system, dt). `simulate_loop` stacks
+them with the linear functionals the field laws read (t^dag and w^dag, where
+t is the target and w = H1 t; for the Taylor law also t^dag X and w^dag X for
 X in H0, H1, H0^2, H0 H1 + H1 H0, H1^2) into one matrix, so a single matvec
-z = big @ psi per step yields everything: the overlaps that give the field
-and the next state [1, f, f^2, f^3, f^4] @ z[:5d].reshape(5, d), which is
-then renormalized under the drift guard.
+z = big @ psi yields everything: the overlaps that give the field and the
+next state [1, f, f^2, f^3, f^4] @ z[:5d].reshape(5, d), which is then
+renormalized under the drift guard.
 
 `simulate_loop` runs whatever a field law compiles to. The closed-loop laws
 are frozen records (`Feedback`, `PastFeedback`, `TaylorFeedback`,
 `BangBang`); an open-loop law is its array of applied fields; a user law is
-a callable field(t, psi). The feedback, delayed, Taylor and user laws run in
-`_per_step`, which inlines `Stepper.load` and `Stepper.advance` (locals for
-the stepper's buffers, one reused monomial array).
+a callable field(t, psi). One loop walks the grid in holds, runs of steps
+under one field value. At a hold start it samples the law: an open-loop law
+reads its array, the feedback, delayed, Taylor and user laws read the state
+at every step (so their holds are one step long), and the bang-bang law
+re-quantizes the feedback every stride steps and holds it in between.
 
-Where the field is known to stay constant for L > 1 steps (open-loop runs of
-equal values, bang-bang between re-quantizations), `_held_blocks` builds
-R(f) once, takes the powers R^1..R^L by doubling, and gets the block's states
-as the normalized rows of powers @ psi. Each step's drift is the ratio of
-consecutive norms, so the first step that fails the guard is reported as in
-the per-step path. L is capped at BLOCK_CAP: the partition depends only on
-the law, and a block holds at most BLOCK_CAP * d^2 complex numbers.
+A one-step hold is the matvec above. A longer hold (an open-loop run of equal
+values, bang-bang between re-quantizations) of L steps builds R(f) once,
+takes the powers R^1..R^L by doubling, reused while f repeats, and gets the
+hold's states as the normalized rows of powers @ psi. Each step's drift is
+the ratio of consecutive norms, so the first step that fails the guard is
+reported as in a one-step hold. L is capped at BLOCK_CAP: the partition
+depends only on the law, and one hold's powers take at most BLOCK_CAP * d^2
+complex numbers.
 
 The classic four-stage `rk4_step` is kept as the reference the polynomial
 map is tested against.
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Most steps propagated as one held-field block.
+#: Most steps propagated as one hold of powers of R(f).
 BLOCK_CAP = 64
 
 
@@ -161,8 +164,8 @@ def _taylor(z, gain_k):
 def feedback_field(target, h1_target, gain_k, psi):
     """f = -k Im(<target|psi> <psi|H1|target>), with h1_target = H1|target>.
 
-    Evaluated through the same functional rows as the Stepper, so a user law
-    built on it sees the bits of the built-in feedback law.
+    Evaluated through the same functional rows as simulate_loop, so a user
+    law built on it sees the bits of the built-in feedback law.
     """
     a, c = np.dot(_functionals(target, h1_target), psi).tolist()
     return _feedback(a, c, gain_k)
@@ -174,62 +177,16 @@ def feedback_and_derivatives(h0, h1, target, h1_target, gain_k, psi):
     return _taylor(np.dot(rows, psi).tolist(), gain_k)
 
 
-class Stepper:
-    """RK4 steps of one (system, dt) at one matvec each; see the module doc."""
-
-    def __init__(self, h0, h1, target, h1_target, dt, taylor=False):
-        dim = h0.shape[0]
-        self._m = rk4_matrices(h0, h1, dt).reshape(5, dim * dim)
-        rows = _functionals(target, h1_target, _taylor_operators(h0, h1) if taylor else ())
-        self._big = np.vstack([self._m.reshape(5 * dim, dim), rows])
-        self._z = np.empty(self._big.shape[0], dtype=np.complex128)
-        # Real views: a real coefficient row contracts the M_k psi as one dgemv.
-        self._zk = self._z[: 5 * dim].view(np.float64).reshape(5, 2 * dim)
-        self._overlaps = self._z[5 * dim :]
-        self._next = np.empty(dim, dtype=np.complex128)
-        self._next_r = self._next.view(np.float64)
-        self._held = None  # (f, powers R^1..R^L) of the last block
-
-    def load(self, psi):
-        """z = big @ psi; returns the functionals' values as Python complexes."""
-        np.dot(self._big, psi, out=self._z)
-        return self._overlaps.tolist()
-
-    def advance(self, f, out):
-        """Write the renormalized R(f) psi of the loaded psi to out; return the drift."""
-        np.dot(_monomials(f), self._zk, out=self._next_r)
-        nrm = math.sqrt(self._next_r.dot(self._next_r))
-        np.divide(self._next, nrm if nrm > 0.0 else 1.0, out=out)
-        return abs(nrm - 1.0)
-
-    def _powers(self, f, n):
-        """R(f)^1..R(f)^n stacked, reusing the last block's when f repeats."""
-        if self._held is not None and self._held[0] == f and len(self._held[1]) >= n:
-            return self._held[1][:n]
-        dim = len(self._next)
-        powers = np.empty((n, dim, dim), dtype=np.complex128)
-        powers[0] = (_monomials(f) @ self._m).reshape(dim, dim)
-        have = 1
-        while have < n:
-            k = min(have, n - have)
-            np.matmul(powers[:k], powers[have - 1], out=powers[have : have + k])
-            have += k
-        self._held = (f, powers)
-        return powers
-
-    def block(self, f, psi, out, drift_tol):
-        """Advance len(out) steps from psi under held f, writing out[l] = psi_{l+1}.
-
-        Returns the index of the first step whose drift fails the guard
-        (out is written only before it), or -1.
-        """
-        raw = self._powers(f, len(out)) @ psi
-        norms = np.sqrt((raw * raw.conj()).real.sum(axis=1))
-        prev = np.concatenate(([1.0], norms[:-1]))
-        bad = np.flatnonzero(~(np.abs(norms / prev - 1.0) <= drift_tol))
-        n_ok = int(bad[0]) if len(bad) else len(out)
-        np.divide(raw[:n_ok], norms[:n_ok, None], out=out[:n_ok])
-        return n_ok if len(bad) else -1
+def _powers(r, n):
+    """R^1..R^n stacked, by doubling."""
+    powers = np.empty((n,) + r.shape, dtype=np.complex128)
+    powers[0] = r
+    have = 1
+    while have < n:
+        k = min(have, n - have)
+        np.matmul(powers[:k], powers[have - 1], out=powers[have : have + k])
+        have += k
+    return powers
 
 
 def simulate_loop(h0, h1, target, h1_target, gain_k, psi0, n_steps, dt, law, drift_tol):
@@ -237,109 +194,107 @@ def simulate_loop(h0, h1, target, h1_target, gain_k, psi0, n_steps, dt, law, dri
 
     law is an array of the n_steps + 1 applied fields (open loop), a
     Feedback, PastFeedback, TaylorFeedback or BangBang record, or a callable
-    field(t, psi). The field is sampled at each step start and held across
-    the step. Returns (states, fields, bad_step); bad_step is the first step
+    field(t, psi). The field is sampled at each hold start and held across
+    the hold. Returns (states, fields, bad_step); bad_step is the first step
     whose pre-renormalization norm drift exceeds drift_tol, or -1.
     """
     dim = psi0.shape[0]
     states = np.empty((n_steps + 1, dim), dtype=np.complex128)
     states[0] = psi0
-    stepper = Stepper(h0, h1, target, h1_target, dt, taylor=isinstance(law, TaylorFeedback))
-    with np.errstate(all="ignore"):
-        if isinstance(law, np.ndarray):
-            fields = np.array(law, dtype=np.float64)
-            bad_step = _held_blocks(stepper, states, fields, None, gain_k, drift_tol)
-        elif isinstance(law, BangBang):
-            fields = np.zeros(n_steps + 1)
-            bad_step = _held_blocks(stepper, states, fields, law, gain_k, drift_tol)
-        else:
-            fields = np.zeros(n_steps + 1)
-            bad_step = _per_step(stepper, states, fields, law, gain_k, dt, drift_tol)
-    return states, fields, bad_step
-
-
-def _per_step(stepper, states, fields, law, gain_k, dt, drift_tol):
-    """Feedback, delayed, Taylor and user laws: Stepper.load + advance, inlined."""
-    n_steps = len(fields) - 1
-    big, z, zk, overlaps = stepper._big, stepper._z, stepper._zk, stepper._overlaps
-    nxt, nxt_r = stepper._next, stepper._next_r
-    dot, divide, sqrt = np.dot, np.divide, math.sqrt
-    mono = np.ones(5)  # [1, f, f^2, f^3, f^4], as _monomials(f)
     taylor = isinstance(law, TaylorFeedback)
     past = isinstance(law, PastFeedback)
+    bang = isinstance(law, BangBang)
+    open_loop = isinstance(law, np.ndarray)
     user = law if callable(law) else None
+    every = not (open_loop or bang)  # the law reads the state at every step
+    m = rk4_matrices(h0, h1, dt).reshape(5, dim * dim)
+    rows = _functionals(target, h1_target, _taylor_operators(h0, h1) if taylor else ())
+    big = np.vstack([m.reshape(5 * dim, dim), rows])
+    z = np.empty(big.shape[0], dtype=np.complex128)
+    # Real views: a real coefficient row contracts the M_k psi as one dgemv.
+    zk = z[: 5 * dim].view(np.float64).reshape(5, 2 * dim)
+    overlaps = z[5 * dim :]
+    nxt = np.empty(dim, dtype=np.complex128)
+    nxt_r = nxt.view(np.float64)
+    mono = np.ones(5)  # [1, f, f^2, f^3, f^4], as _monomials(f)
+    if open_loop:
+        fields = np.array(law, dtype=np.float64)
+        # Hold ends: every change of the applied value, and the last step.
+        changes = np.flatnonzero(fields[1:n_steps] != fields[: n_steps - 1]) + 1
+        ends = np.append(changes, n_steps).tolist()
+    else:
+        fields = np.zeros(n_steps + 1)
+    stride = law.stride if bang else 1
     tau = law.tau if taylor else 0.0
     delay_steps = law.delay_steps if past else 0
     raw = deque(maxlen=delay_steps + 1)  # raw feedback of the last delay_steps + 1 steps
-    psi = states[0]
-    for i in range(n_steps + 1):
-        dot(big, psi, out=z)
-        if taylor:
-            fv, df, d2f = _taylor(overlaps.tolist(), gain_k)
-            f = fv - df * tau + 0.5 * d2f * tau * tau
-        elif user is not None:
-            f = float(user(i * dt, psi))
-        else:
-            a, c = overlaps.tolist()
-            f = -gain_k * (a * c.conjugate()).imag  # _feedback(a, c, gain_k)
-            if past:
-                raw.append(f)
-                f = raw[0] if i >= delay_steps else 0.0
-        fields[i] = f
-        if i == n_steps:
-            break
-        f2 = f * f
-        mono[1] = f
-        mono[2] = f2
-        mono[3] = f2 * f
-        mono[4] = f2 * f2
-        dot(mono, zk, out=nxt_r)
-        nrm = sqrt(nxt_r.dot(nxt_r))
-        psi = states[i + 1]
-        divide(nxt, nrm if nrm > 0.0 else 1.0, out=psi)
-        if not (abs(nrm - 1.0) <= drift_tol):  # catches NaN as well
-            return i
-    return -1
-
-
-def _held_blocks(stepper, states, fields, bang, gain_k, drift_tol):
-    """Open-loop (bang is None; fields holds the applied values) and bang-bang
-    laws: blocks of steps under one held field value."""
-    n_steps = len(fields) - 1
-
-    def quantized(psi):
-        z = stepper.load(psi)
-        return bang_quantize(_feedback(z[0], z[1], gain_k), bang.f0, bang.deadband)
-
-    if bang is None:
-        # Block starts: every change of the applied value.
-        changes = np.flatnonzero(fields[1:n_steps] != fields[: n_steps - 1]) + 1
-        run_ends = np.append(changes, n_steps).tolist()
-    else:
-        stride = bang.stride
+    dot, divide, sqrt = np.dot, np.divide, math.sqrt
+    held_f, powers = None, ()  # the last long hold's f and R(f)^1..R(f)^L
     amp = 0.0
     i = run = 0
-    while i < n_steps:
-        if bang is not None:
-            if i % stride == 0:
-                amp = quantized(states[i])
-            length = min(stride - i % stride, BLOCK_CAP, n_steps - i)
-            fields[i : i + length] = amp
-        else:
-            while run_ends[run] <= i:
-                run += 1
-            length = min(run_ends[run] - i, BLOCK_CAP)
-        f = float(fields[i])
-        if length == 1:
-            if bang is None or i % stride:  # else quantized() just loaded it
-                stepper.load(states[i])
-            if not (stepper.advance(f, states[i + 1]) <= drift_tol):
-                return i
-        else:
-            bad = stepper.block(f, states[i], states[i + 1 : i + 1 + length], drift_tol)
-            if bad >= 0:
-                return i + bad
-        i += length
-    if bang is not None:
-        fields[n_steps] = quantized(states[n_steps]) if n_steps % stride == 0 else amp
-    return -1
+    psi = states[0]
+    with np.errstate(all="ignore"):
+        while True:
+            if every:
+                dot(big, psi, out=z)
+                if taylor:
+                    fv, df, d2f = _taylor(overlaps.tolist(), gain_k)
+                    f = fv - df * tau + 0.5 * d2f * tau * tau
+                elif user is not None:
+                    f = float(user(i * dt, psi))
+                else:
+                    a, c = overlaps.tolist()
+                    f = -gain_k * (a * c.conjugate()).imag  # _feedback(a, c, gain_k)
+                    if past:
+                        raw.append(f)
+                        f = raw[0] if i >= delay_steps else 0.0
+                fields[i] = f
+                if i == n_steps:
+                    return states, fields, -1
+            else:
+                if bang and i % stride == 0:
+                    dot(big, psi, out=z)
+                    a, c = overlaps.tolist()
+                    amp = bang_quantize(_feedback(a, c, gain_k), law.f0, law.deadband)
+                if i == n_steps:
+                    if bang:
+                        fields[i] = amp
+                    return states, fields, -1
+                if bang:
+                    length = min(stride - i % stride, BLOCK_CAP, n_steps - i)
+                    fields[i : i + length] = amp
+                else:
+                    while ends[run] <= i:
+                        run += 1
+                    length = min(ends[run] - i, BLOCK_CAP)
+                f = float(fields[i])
+                if length > 1:
+                    if not (f == held_f and len(powers) >= length):
+                        powers = _powers((_monomials(f) @ m).reshape(dim, dim), length)
+                        held_f = f
+                    block = powers[:length] @ psi
+                    norms = np.sqrt((block * block.conj()).real.sum(axis=1))
+                    prev = np.concatenate(([1.0], norms[:-1]))
+                    bad = np.flatnonzero(~(np.abs(norms / prev - 1.0) <= drift_tol))
+                    n_ok = int(bad[0]) if len(bad) else length
+                    divide(block[:n_ok], norms[:n_ok, None], out=states[i + 1 : i + 1 + n_ok])
+                    if len(bad):
+                        return states, fields, i + n_ok
+                    psi = states[i + length]
+                    i += length
+                    continue
+                if not bang or i % stride:  # else the sample just loaded z
+                    dot(big, psi, out=z)
+            # A one-step hold: z = big @ psi is loaded.
+            f2 = f * f
+            mono[1] = f
+            mono[2] = f2
+            mono[3] = f2 * f
+            mono[4] = f2 * f2
+            dot(mono, zk, out=nxt_r)
+            nrm = sqrt(nxt_r.dot(nxt_r))
+            psi = states[i + 1]
+            divide(nxt, nrm if nrm > 0.0 else 1.0, out=psi)
+            if not (abs(nrm - 1.0) <= drift_tol):  # catches NaN as well
+                return states, fields, i
+            i += 1

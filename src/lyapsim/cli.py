@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .control_law import check_convergence, feedback_law
-from .delay import DelaySpec, delay_sweep, delayed_law
-from .dynamics import Trajectory, simulate
+from .delay import DelaySpec, _check_tau, delay_sweep, delayed_law
+from .dynamics import Trajectory, _step_count, simulate
 from .errors import ConfigError, InputError, NumericalError
 from .experiments import (
     BANG_BANG_STATE,
@@ -38,7 +38,14 @@ from .experiments import (
     random_initial_state,
     run_dimension_scaling,
 )
-from .shaping import BangBangSpec, PulseTrainSpec, bang_bang_law, pulse_count_sweep, pulsed_law
+from .shaping import (
+    BangBangSpec,
+    PulseTrainSpec,
+    _check_pulse_grid,
+    bang_bang_law,
+    pulse_count_sweep,
+    pulsed_law,
+)
 
 _SUBCOMMAND_PRESET = {
     "simulate": "custom",
@@ -218,6 +225,27 @@ def _system(cfg: ExperimentConfig):
     return sys5
 
 
+def _check_delay(key: str, cfg: ExperimentConfig, tau: float) -> None:
+    """The delayed law's own checks of tau, run before any design run; a
+    failure is a config error on key."""
+    try:
+        _check_tau(DelaySpec(tau, cfg.delay_mode).tau, _step_count(cfg.horizon, cfg.dt), cfg.dt)
+    except InputError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _check_pulses(key: str, cfg: ExperimentConfig, n_pulses: int) -> None:
+    """The pulse train's own checks, run before any design run. A one-pulse
+    train fails only if the horizon is off the dt grid, a config error on
+    horizon; any other failure is a config error on key."""
+    n_steps = _step_count(cfg.horizon, cfg.dt)
+    for name, count in (("horizon", 1), (key, n_pulses)):
+        try:
+            _check_pulse_grid(PulseTrainSpec(count, cfg.horizon), n_steps, cfg.dt)
+        except InputError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+
+
 def _initial_state(cfg: ExperimentConfig, dim: int) -> np.ndarray:
     if cfg.preset == "fig4":
         state = BANG_BANG_STATE.astype(np.complex128)
@@ -228,12 +256,14 @@ def _initial_state(cfg: ExperimentConfig, dim: int) -> np.ndarray:
 def _trajectory_for(cfg: ExperimentConfig, sys5) -> Trajectory:
     psi0 = _initial_state(cfg, sys5.dim)
     if cfg.preset == "fig1":
+        _check_delay("tau", cfg, cfg.tau)
         spec = DelaySpec(cfg.tau, cfg.delay_mode)
         reference = None
         if spec.resolved_mode() == "replay":
             reference = simulate(sys5, feedback_law(sys5), psi0, cfg.horizon, cfg.dt)
         law = delayed_law(sys5, spec, reference)
     elif cfg.preset in ("fig2", "fig3"):
+        _check_pulses("n_pulses", cfg, cfg.n_pulses)
         law = pulsed_law(sys5, PulseTrainSpec(cfg.n_pulses, cfg.horizon))
     elif cfg.preset == "fig4":
         law = bang_bang_law(sys5, BangBangSpec(cfg.f0, cfg.deadband))
@@ -261,6 +291,8 @@ def _cmd_bang_bang(cfg: ExperimentConfig, out_dir: Path) -> str:
 
 
 def _cmd_delay_sweep(cfg: ExperimentConfig, out_dir: Path) -> str:
+    for i, tau in enumerate(cfg.taus):
+        _check_delay(f"taus[{i}]", cfg, tau)
     points = delay_sweep(
         _system(cfg), cfg.taus, cfg.n_states, cfg.seed, cfg.delay_mode, cfg.horizon, cfg.dt
     )
@@ -273,6 +305,8 @@ def _cmd_delay_sweep(cfg: ExperimentConfig, out_dir: Path) -> str:
 
 
 def _cmd_pulse_sweep(cfg: ExperimentConfig, out_dir: Path) -> str:
+    for i, count in enumerate(cfg.pulse_counts):
+        _check_pulses(f"pulse_counts[{i}]", cfg, count)
     points = pulse_count_sweep(
         _system(cfg), cfg.pulse_counts, cfg.n_states, cfg.seed, cfg.horizon, cfg.dt
     )

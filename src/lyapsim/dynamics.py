@@ -250,12 +250,7 @@ def propagate_exact(sys: ControlSystem, segments, psi0: np.ndarray) -> Trajector
     psi0 = linalg.as_state(psi0)
     if psi0.shape[0] != sys.dim:
         raise InputError(f"state dimension {psi0.shape[0]} != system dimension {sys.dim}")
-    segments = [(float(d), float(v)) for d, v in segments]
-    if not segments:
-        raise InputError("need at least one segment")
-    if any(d <= 0 for d, _ in segments):
-        raise InputError("segment durations must be positive")
-
+    segments = PiecewiseConstantLaw(segments).segments  # validated as the law does
     n = len(segments)
     states = np.empty((n + 1, sys.dim), dtype=np.complex128)
     times = np.empty(n + 1)

@@ -80,6 +80,18 @@ def _pulse_start_steps(n_steps: int, n_pulses: int) -> list[int]:
     return [(p * n_steps + n_pulses - 1) // n_pulses for p in range(n_pulses)]
 
 
+def _check_pulse_grid(spec: PulseTrainSpec, n_steps: int, dt: float) -> None:
+    """Refuse a pulse train that does not tile the run's grid of n_steps steps of dt."""
+    if abs(n_steps * dt - spec.horizon) > 1e-9 * max(1.0, spec.horizon):
+        raise InputError(
+            f"pulse train spans [0, {spec.horizon}] but the run covers [0, {n_steps * dt}]"
+        )
+    if spec.duration < dt * (1.0 - 1e-9):
+        raise InputError(
+            f"pulse duration {spec.duration} is shorter than the step dt={dt}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class _PulseTrainLaw(FieldLaw):
     """Window-averaged design field on a pulse grid, applied open loop.
@@ -96,14 +108,7 @@ class _PulseTrainLaw(FieldLaw):
     def _compile(self, sys, psi0, n_steps, dt):
         check_design_system(self.design_sys, sys)
         spec = self.spec
-        if abs(n_steps * dt - spec.horizon) > 1e-9 * max(1.0, spec.horizon):
-            raise InputError(
-                f"pulse train spans [0, {spec.horizon}] but the run covers [0, {n_steps * dt}]"
-            )
-        if spec.duration < dt * (1.0 - 1e-9):
-            raise InputError(
-                f"pulse duration {spec.duration} is shorter than the step dt={dt}"
-            )
+        _check_pulse_grid(spec, n_steps, dt)
         if self.design is None:
             design_fields = simulate(sys, feedback_law(sys), psi0, spec.horizon, dt).fields
         else:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lyapsim import ConfigError, Trajectory, build_config, feedback_law, preset_5dim, simulate
-from lyapsim import cli
+from lyapsim import cli, experiments
 from lyapsim.cli import (
     main,
     parse_config,
@@ -207,6 +207,35 @@ class TestMain:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert f"error: {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["pulse-sweep", "--pulse-counts", "5000", "--horizon", "20"],
+             "error: pulse_counts[0]: pulse duration 0.004 is shorter than the step dt=0.01\n"),
+            (["delay-sweep", "--taus", "500"],
+             "error: taus[0]: |tau| = 500.0 exceeds the horizon 200.0\n"),
+            (["simulate", "--preset", "fig1", "--mode", "history", "--tau", "-0.5"],
+             "error: tau: history mode is causal state feedback and needs tau >= 0\n"),
+            (["pulse-sweep", "--pulse-counts", "5", "--horizon", "20.005"],
+             "error: horizon: pulse train spans [0, 20.005] but the run covers [0, 20.0]\n"),
+        ],
+        ids=["pulse_counts", "taus", "tau", "horizon"],
+    )
+    def test_law_checks_name_their_key_before_any_run(self, argv, err, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the config was checked")
+
+        monkeypatch.setattr(cli, "simulate", no_run)
+        monkeypatch.setattr(experiments, "simulate", no_run)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(err)
+
+    def test_pulse_sweep_ignores_the_delay_keys(self, tmp_path, capsys):
+        # History mode refuses the preset's negative taus, which only delay-sweep reads.
+        assert main(["pulse-sweep", "--mode", "history", "--n-states", "1", "--horizon", "5",
+                     "--pulse-counts", "5", "--out", str(tmp_path / "out")]) == 0
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         out = tmp_path / "boom"

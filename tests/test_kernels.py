@@ -55,17 +55,23 @@ def test_polynomial_map_matches_classic_rk4(dim):
     h1 = random_hermitian(rng, dim)
     target = random_unit_complex(rng, dim)
     m = _kernels.rk4_matrices(h0, h1, 0.01)
-    stepper = _kernels.Stepper(h0, h1, target, h1 @ target, 0.01)
-    out = np.empty(dim, dtype=np.complex128)
+
+    def one_step(f, psi, drift_tol):
+        # A one-step hold: the kernel's per-step monomial path.
+        return _kernels.simulate_loop(
+            h0, h1, target, h1 @ target, 1.0, psi, 1, 0.01, np.array([f, f]), drift_tol
+        )
+
     for f in rng.uniform(-1.0, 1.0, size=10):
         psi = random_unit_complex(rng, dim)
         expected, expected_drift = _kernels.rk4_step(h0, h1, f, 0.01, psi)
         raw = sum(f**k * m[k] for k in range(5)) @ psi
         assert np.max(np.abs(raw / np.linalg.norm(raw) - expected)) <= 1e-14
-        stepper.load(psi)
-        drift = stepper.advance(f, out)
-        assert np.max(np.abs(out - expected)) <= 1e-14
-        assert abs(drift - expected_drift) <= 1e-14
+        states, _, bad_step = one_step(f, psi, expected_drift + 1e-14)
+        assert bad_step == -1
+        assert np.max(np.abs(states[1] - expected)) <= 1e-14
+        # The kernel's drift is within 1e-14 of the oracle's from both sides.
+        assert one_step(f, psi, expected_drift - 1e-14)[2] == 0
 
 
 def _segment_field(values, ends):
@@ -122,7 +128,7 @@ def _laws(sys5, psi0):
     """Each law kind with its field in the per-step reference loop."""
     reference = simulate(sys5, feedback_law(sys5), psi0, 30.0, 0.01)
     design = oracle_run(sys5, psi0, 30.0, 0.01, feedback_at(sys5))[1]
-    hold, per_step = BangBangSpec(hold=0.5), BangBangSpec(hold=0.01)
+    hold, per_step, long_hold, ragged = (BangBangSpec(hold=h) for h in (0.5, 0.01, 0.7, 0.65))
     return {
         "feedback": (feedback_law(sys5), feedback_at(sys5)),
         "history": (delayed_law(sys5, DelaySpec(0.5, "history")), feedback_at(sys5, 50)),
@@ -132,11 +138,19 @@ def _laws(sys5, psi0):
         # 30 is a whole number of 0.5 holds: the last sample re-quantizes.
         "bang": (bang_bang_law(sys5, hold), bang_at(sys5, hold, 50)),
         "bang-per-step": (bang_bang_law(sys5, per_step), bang_at(sys5, per_step, 1)),
+        # A stride of 70 > BLOCK_CAP, and 30 is not a whole number of 0.7 holds.
+        "bang-long-hold": (bang_bang_law(sys5, long_hold), bang_at(sys5, long_hold, 70)),
+        # A stride of 65 = BLOCK_CAP + 1: every stride ends in a one-step hold.
+        "bang-ragged-hold": (bang_bang_law(sys5, ragged), bang_at(sys5, ragged, 65)),
     }
 
 
 @pytest.mark.parametrize(
-    "kind", ["feedback", "history", "taylor", "replay", "pulses", "bang", "bang-per-step"]
+    "kind",
+    [
+        "feedback", "history", "taylor", "replay", "pulses",
+        "bang", "bang-per-step", "bang-long-hold", "bang-ragged-hold",
+    ],
 )
 def test_kernel_matches_generic_path(sys5, kind):
     # The generic path is the per-step reference loop of tests/helpers.py.

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyapsim import (
     BangBangSpec,
@@ -64,6 +66,19 @@ class TestQuantizer:
             out = bang_bang_quantize(x, spec)
             assert out in (-0.25, 0.0, 0.25)
             assert bang_bang_quantize(-x, spec) == -out
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        raw=st.floats(allow_nan=False),
+        f0=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        deadband=st.floats(min_value=0.0, allow_infinity=False),
+    )
+    def test_three_levels_odd_and_zero_exactly_in_deadband(self, raw, f0, deadband):
+        spec = BangBangSpec(f0=f0, deadband=deadband)
+        out = bang_bang_quantize(raw, spec)
+        assert out in (-f0, 0.0, f0)
+        assert bang_bang_quantize(-raw, spec) == -out
+        assert (out == 0.0) == (abs(raw) <= deadband)
 
     def test_f0_scaling_keeps_sign(self, rng):
         small = BangBangSpec(f0=0.1)
