@@ -23,14 +23,17 @@ reads its array, the feedback, delayed, Taylor and user laws read the state
 at every step (so their holds are one step long), and the bang-bang law
 re-quantizes the feedback every stride steps and holds it in between.
 
-A one-step hold is the matvec above. A longer hold (an open-loop run of equal
-values, bang-bang between re-quantizations) of L steps builds R(f) once,
-takes the powers R^1..R^L by doubling, reused while f repeats, and gets the
-hold's states as the normalized rows of powers @ psi. Each step's drift is
-the ratio of consecutive norms, so the first step that fails the guard is
-reported as in a one-step hold. L is capped at BLOCK_CAP: the partition
-depends only on the law, and one hold's powers take at most BLOCK_CAP * d^2
-complex numbers.
+A one-step hold is the matvec above. A longer hold of L steps (an open-loop
+run of equal values, bang-bang between re-quantizations) runs in the
+eigenbasis of H(f) = H0 + f H1 = V diag(lam) V^dag. R(f) is the RK4
+polynomial in -i dt H(f), so R(f)^j = V diag(mu^j) V^dag exactly, with
+mu = 1 + x + x^2/2 + x^3/6 + x^4/24 at x = -i dt lam: still RK4, not the
+exponential. One eigendecomposition per held value and a cumprod give
+mu^1..mu^L, and the hold's states are the normalized rows of one
+(L x d)(d x d) product; the first step whose norm ratio to the previous row
+fails the drift guard is reported as in a one-step hold. L is capped at
+BLOCK_CAP, so the partition depends only on the law and a table holds at
+most BLOCK_CAP * d numbers.
 
 The classic four-stage `rk4_step` is kept as the reference the polynomial
 map is tested against.
@@ -44,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Most steps propagated as one hold of powers of R(f).
-BLOCK_CAP = 64
+#: Most steps propagated as one hold in the eigenbasis of H(f).
+BLOCK_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -131,11 +134,6 @@ def _functionals(target, h1_target, ops=()):
     return np.vstack([vs] + [vs[0] @ x for x in ops] + [vs[1] @ x for x in ops])
 
 
-def _monomials(f):
-    f2 = f * f
-    return np.array((1.0, f, f2, f2 * f, f2 * f2))
-
-
 def _feedback(a, c, gain_k):
     # f = -k Im(<t|psi><psi|w>) with a = <t|psi>, c = <w|psi>.
     return -gain_k * (a * c.conjugate()).imag
@@ -177,18 +175,6 @@ def feedback_and_derivatives(h0, h1, target, h1_target, gain_k, psi):
     return _taylor(np.dot(rows, psi).tolist(), gain_k)
 
 
-def _powers(r, n):
-    """R^1..R^n stacked, by doubling."""
-    powers = np.empty((n,) + r.shape, dtype=np.complex128)
-    powers[0] = r
-    have = 1
-    while have < n:
-        k = min(have, n - have)
-        np.matmul(powers[:k], powers[have - 1], out=powers[have : have + k])
-        have += k
-    return powers
-
-
 def simulate_loop(h0, h1, target, h1_target, gain_k, psi0, n_steps, dt, law, drift_tol):
     """Fixed-step closed-loop integration under one compiled field law.
 
@@ -201,22 +187,21 @@ def simulate_loop(h0, h1, target, h1_target, gain_k, psi0, n_steps, dt, law, dri
     dim = psi0.shape[0]
     states = np.empty((n_steps + 1, dim), dtype=np.complex128)
     states[0] = psi0
+    states_r = states.view(np.float64)
     taylor = isinstance(law, TaylorFeedback)
     past = isinstance(law, PastFeedback)
     bang = isinstance(law, BangBang)
     open_loop = isinstance(law, np.ndarray)
     user = law if callable(law) else None
     every = not (open_loop or bang)  # the law reads the state at every step
-    m = rk4_matrices(h0, h1, dt).reshape(5, dim * dim)
     rows = _functionals(target, h1_target, _taylor_operators(h0, h1) if taylor else ())
-    big = np.vstack([m.reshape(5 * dim, dim), rows])
+    big = np.vstack([rk4_matrices(h0, h1, dt).reshape(5 * dim, dim), rows])
     z = np.empty(big.shape[0], dtype=np.complex128)
     # Real views: a real coefficient row contracts the M_k psi as one dgemv.
     zk = z[: 5 * dim].view(np.float64).reshape(5, 2 * dim)
     overlaps = z[5 * dim :]
-    nxt = np.empty(dim, dtype=np.complex128)
-    nxt_r = nxt.view(np.float64)
-    mono = np.ones(5)  # [1, f, f^2, f^3, f^4], as _monomials(f)
+    nxt_r = np.empty(2 * dim)
+    mono = np.ones(5)  # [1, f, f^2, f^3, f^4]
     if open_loop:
         fields = np.array(law, dtype=np.float64)
         # Hold ends: every change of the applied value, and the last step.
@@ -228,15 +213,15 @@ def simulate_loop(h0, h1, target, h1_target, gain_k, psi0, n_steps, dt, law, dri
     tau = law.tau if taylor else 0.0
     delay_steps = law.delay_steps if past else 0
     raw = deque(maxlen=delay_steps + 1)  # raw feedback of the last delay_steps + 1 steps
-    dot, divide, sqrt = np.dot, np.divide, math.sqrt
-    held_f, powers = None, ()  # the last long hold's f and R(f)^1..R(f)^L
+    multiply, sqrt = np.multiply, math.sqrt
+    held = {}  # the tables of the last long hold's f, or of bang-bang's levels
     amp = 0.0
     i = run = 0
     psi = states[0]
     with np.errstate(all="ignore"):
         while True:
             if every:
-                dot(big, psi, out=z)
+                big.dot(psi, z)
                 if taylor:
                     fv, df, d2f = _taylor(overlaps.tolist(), gain_k)
                     f = fv - df * tau + 0.5 * d2f * tau * tau
@@ -253,7 +238,7 @@ def simulate_loop(h0, h1, target, h1_target, gain_k, psi0, n_steps, dt, law, dri
                     return states, fields, -1
             else:
                 if bang and i % stride == 0:
-                    dot(big, psi, out=z)
+                    big.dot(psi, z)
                     a, c = overlaps.tolist()
                     amp = bang_quantize(_feedback(a, c, gain_k), law.f0, law.deadband)
                 if i == n_steps:
@@ -269,32 +254,45 @@ def simulate_loop(h0, h1, target, h1_target, gain_k, psi0, n_steps, dt, law, dri
                     length = min(ends[run] - i, BLOCK_CAP)
                 f = float(fields[i])
                 if length > 1:
-                    if not (f == held_f and len(powers) >= length):
-                        powers = _powers((_monomials(f) @ m).reshape(dim, dim), length)
-                        held_f = f
-                    block = powers[:length] @ psi
-                    norms = np.sqrt((block * block.conj()).real.sum(axis=1))
+                    hold = held.get(f)
+                    if hold is None or len(hold[2]) < length:
+                        h = h0 + f * h1
+                        if not np.isfinite(h).all():  # eigh raises on it
+                            return states, fields, i
+                        lam, v = np.linalg.eigh(h)
+                        x = (-1j * dt) * lam
+                        mu = 1.0 + x * (1.0 + x * (0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0))))
+                        if not bang:
+                            held.clear()
+                        n_rows = min(stride, BLOCK_CAP) if bang else length
+                        table = np.cumprod(np.broadcast_to(mu, (n_rows, dim)), axis=0)
+                        hold = held[f] = (v.conj(), v.T, table)
+                    vc, vt, table = hold  # conj(V), V^T and mu^1..mu^n_rows
+                    block = (table[:length] * psi.dot(vc)) @ vt
+                    block_r = block.view(np.float64)
+                    norms = np.sqrt(np.einsum("ij,ij->i", block_r, block_r))
                     prev = np.concatenate(([1.0], norms[:-1]))
                     bad = np.flatnonzero(~(np.abs(norms / prev - 1.0) <= drift_tol))
                     n_ok = int(bad[0]) if len(bad) else length
-                    divide(block[:n_ok], norms[:n_ok, None], out=states[i + 1 : i + 1 + n_ok])
+                    np.divide(block[:n_ok], norms[:n_ok, None], out=states[i + 1 : i + 1 + n_ok])
                     if len(bad):
                         return states, fields, i + n_ok
                     psi = states[i + length]
                     i += length
                     continue
                 if not bang or i % stride:  # else the sample just loaded z
-                    dot(big, psi, out=z)
+                    big.dot(psi, z)
             # A one-step hold: z = big @ psi is loaded.
             f2 = f * f
             mono[1] = f
             mono[2] = f2
             mono[3] = f2 * f
             mono[4] = f2 * f2
-            dot(mono, zk, out=nxt_r)
+            mono.dot(zk, nxt_r)
             nrm = sqrt(nxt_r.dot(nxt_r))
+            # The bits of the complex nxt / nrm, but for the sign of a zero real part.
+            multiply(nxt_r, 1.0 / nrm if nrm > 0.0 else 1.0, out=states_r[i + 1])
             psi = states[i + 1]
-            divide(nxt, nrm if nrm > 0.0 else 1.0, out=psi)
             if not (abs(nrm - 1.0) <= drift_tol):  # catches NaN as well
                 return states, fields, i
             i += 1

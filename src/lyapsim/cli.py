@@ -61,10 +61,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+#: Rows formatted and written at a time, so a writer's memory does not grow
+#: with the trajectory.
+_CSV_CHUNK_ROWS = 4096
+
+
 def write_trajectory_csv(traj: Trajectory, path, full_state: bool = False) -> None:
     """Write t,f,V,F rows (plus per-component re/im columns if requested).
 
-    The whole table is formatted by one %-operation; '%.17g' % x and
+    Each chunk of rows is formatted by one %-operation; '%.17g' % x and
     format(x, ".17g") are the same float conversion, so the cells are those
     of _fmt.
     """
@@ -75,10 +80,12 @@ def write_trajectory_csv(traj: Trajectory, path, full_state: bool = False) -> No
         header += [f"{part}_psi_{i}" for i in range(1, dim + 1) for part in ("re", "im")]
         # The float view interleaves re/im per component, matching the header.
         columns.append(np.ascontiguousarray(traj.states, dtype=np.complex128).view(np.float64))
-    table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * table.shape[1])
-    body = "\n".join([row] * len(table)) % tuple(table.ravel().tolist())
-    Path(path).write_text(",".join(header) + "\n" + body + "\n", newline="\n")
+    row = ",".join(["%.17g"] * len(header))
+    with open(path, "w", newline="\n") as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, len(traj), _CSV_CHUNK_ROWS):
+            table = np.column_stack([c[start : start + _CSV_CHUNK_ROWS] for c in columns])
+            out.write("\n".join([row] * len(table)) % tuple(table.ravel().tolist()) + "\n")
 
 
 def write_sweep_csv(points, path) -> None:
@@ -114,7 +121,11 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as data:
+        for block in iter(lambda: data.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, files, notes=None) -> None:

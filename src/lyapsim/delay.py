@@ -38,6 +38,8 @@ class DelaySpec:
 
     def __post_init__(self):
         self.tau = float(self.tau)
+        if not math.isfinite(self.tau):
+            raise InputError(f"tau must be finite, got {self.tau}")
         if self.mode not in MODES + ("auto",):
             raise InputError(f"unknown delay mode {self.mode!r}; expected one of {MODES}")
         if self.mode == "history" and self.tau < 0:

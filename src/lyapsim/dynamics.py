@@ -165,8 +165,11 @@ class PiecewiseConstantLaw(FieldLaw):
         segments = [(float(d), float(v)) for d, v in segments]
         if not segments:
             raise InputError("need at least one segment")
-        if any(d <= 0 for d, _ in segments):
-            raise InputError("segment durations must be positive")
+        for i, (d, v) in enumerate(segments):
+            if not 0 < d < math.inf:
+                raise InputError(f"segments[{i}]: duration must be positive and finite, got {d}")
+            if not math.isfinite(v):
+                raise InputError(f"segments[{i}]: value must be finite, got {v}")
         self.segments = segments
         self._bounds = np.cumsum([d for d, _ in segments])
         self._values = np.array([v for _, v in segments])
@@ -180,23 +183,23 @@ class PiecewiseConstantLaw(FieldLaw):
 def _step_count(horizon: float, dt: float) -> int:
     if not dt > 0:
         raise InputError(f"dt must be positive, got {dt}")
+    if not horizon < math.inf:  # NaN as well
+        raise InputError(f"horizon must be finite, got {horizon}")
     if horizon < dt:
         raise InputError(f"horizon {horizon} is shorter than one step dt={dt}")
     return int(math.floor(horizon / dt + 1e-9))
 
 
-def _check_state_memory(n_steps: int, dim: int, horizon: float, dt: float) -> None:
-    """Refuse a run whose recorded states would not fit in physical memory."""
-    need = (n_steps + 1) * dim * 16
+def _check_memory(need: int, what: str, remedy: str) -> None:
+    """Refuse work whose records, need bytes, would not fit in physical memory."""
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return  # the OS does not say
     if need > have:
         raise InputError(
-            f"horizon={horizon:g} with dt={dt:g} records {n_steps + 1} states of "
-            f"dimension {dim} ({need / 2**30:.3g} GiB), more than the "
-            f"{have / 2**30:.3g} GiB of physical memory; shorten horizon or raise dt"
+            f"{what} ({need / 2**30:.3g} GiB), more than the "
+            f"{have / 2**30:.3g} GiB of physical memory; {remedy}"
         )
 
 
@@ -218,7 +221,11 @@ def simulate(
     psi0 = linalg.as_state(psi0)
     if psi0.shape[0] != sys.dim:
         raise InputError(f"state dimension {psi0.shape[0]} != system dimension {sys.dim}")
-    _check_state_memory(n_steps, sys.dim, horizon, dt)
+    _check_memory(
+        (n_steps + 1) * sys.dim * 16,
+        f"horizon={horizon:g} with dt={dt:g} records {n_steps + 1} states of dimension {sys.dim}",
+        "shorten horizon or raise dt",
+    )
     dt = float(dt)
     states, fields, bad_step = _kernels.simulate_loop(
         sys.h0,

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .control_law import check_convergence, feedback_law
-from .dynamics import ControlSystem, Trajectory, simulate
+from .dynamics import ControlSystem, Trajectory, _check_memory, _step_count, simulate
 from .errors import ConfigError, InputError, NumericalError
 
 #: Ground-state levels below this pre-normalization norm are redrawn.
@@ -28,6 +28,11 @@ MIN_SPECTRAL_GAP = 1e-3
 
 #: Fidelity must stay above threshold for this long to count as converged.
 CONVERGENCE_HOLD = 10.0
+
+#: Bytes a sweep keeps per trial until it ends (state, law, task, result),
+#: rounded up: a 7-delay sweep measured about 0.9 kB per state plus 0.2 kB
+#: per trial.
+_TRIAL_BYTES = 1024
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -84,6 +89,16 @@ def random_scaling_instance_with_retries(dim: int, rng: np.random.Generator):
     return ControlSystem(h0=h0, h1=h1, target=target, gain_k=1.0), retries
 
 
+def _check_sweep_memory(n_states: int, n_trials: int, kept_per_state: int = 0) -> None:
+    """Refuse a sweep whose trials would not fit in physical memory, before
+    any state is drawn or any run starts."""
+    _check_memory(
+        n_trials * _TRIAL_BYTES + n_states * kept_per_state,
+        f"n_states: {n_trials} trials of {n_states} states keep their records",
+        "lower n_states",
+    )
+
+
 def seeded_initial_states(dim: int, n_states: int, seed: int) -> list[np.ndarray]:
     """The shared per-seed batch of initial states used by the sweeps."""
     if n_states < 1:
@@ -129,6 +144,9 @@ def paired_sweep(sys, params, make_law, n_states, seed, horizon, dt, design=Fals
     as soon as its design run ends, so only what they keep of it stays in
     memory while the trials run.
     """
+    # Its state's laws keep a design run's fields, and a pulse law its times too.
+    kept = 16 * (_step_count(horizon, dt) + 1) if design else 0
+    _check_sweep_memory(n_states, n_states * len(params), kept)
     states = seeded_initial_states(sys.dim, n_states, seed)
 
     def state_laws(psi0):
@@ -340,6 +358,7 @@ def run_dimension_scaling(cfg: ExperimentConfig) -> list[ScalingRow]:
     which would bias the means upward.
     """
     _check_fidelity_time(cfg)
+    _check_sweep_memory(cfg.n_states, cfg.n_states * len(cfg.dims))
     tasks = [
         (cfg.seed, dim, trial, cfg.horizon, cfg.dt, cfg.threshold, cfg.fidelity_time)
         for dim in cfg.dims

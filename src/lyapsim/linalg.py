@@ -39,16 +39,22 @@ def as_state(entries) -> np.ndarray:
 
 
 def as_hermitian(matrix) -> np.ndarray:
-    """Validate a Hermitian matrix (entrywise equal to its adjoint within 1e-12)."""
+    """Validate a Hermitian matrix (entrywise equal to its adjoint within 1e-12).
+
+    Returns its Hermitian part (M + M^dag) / 2, which eigh reads from one
+    triangle, so every consumer sees the same operator; for an exactly
+    Hermitian M that is M, bit for bit.
+    """
     m = np.ascontiguousarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(np.float64))):
         raise InputError("matrix has non-finite entries")
-    dev = np.max(np.abs(m - m.conj().T))
+    adj = m.conj().T
+    dev = np.max(np.abs(m - adj))
     if dev > HERMITICITY_TOL:
         raise InputError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
-    return m
+    return (m + adj) / 2
 
 
 def norm(v: np.ndarray) -> float:

@@ -24,6 +24,8 @@ descent slows to a creep.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +45,10 @@ class PulseTrainSpec:
     horizon: float
 
     def __post_init__(self):
-        if self.n_pulses < 1:
-            raise InputError(f"n_pulses must be >= 1, got {self.n_pulses}")
-        if not self.horizon > 0:
-            raise InputError(f"horizon must be positive, got {self.horizon}")
+        if not (isinstance(self.n_pulses, numbers.Integral) and self.n_pulses >= 1):
+            raise InputError(f"n_pulses must be an integer >= 1, got {self.n_pulses!r}")
+        if not 0 < self.horizon < math.inf:
+            raise InputError(f"horizon must be positive and finite, got {self.horizon}")
         self.horizon = float(self.horizon)
 
     @property
@@ -67,12 +69,12 @@ class BangBangSpec:
     hold: float = 0.5
 
     def __post_init__(self):
-        if not self.f0 > 0:
-            raise InputError(f"f0 must be positive, got {self.f0}")
-        if self.deadband < 0:
-            raise InputError(f"deadband must be >= 0, got {self.deadband}")
-        if not self.hold > 0:
-            raise InputError(f"hold must be positive, got {self.hold}")
+        if not 0 < self.f0 < math.inf:
+            raise InputError(f"f0 must be positive and finite, got {self.f0}")
+        if not 0 <= self.deadband < math.inf:
+            raise InputError(f"deadband must be >= 0 and finite, got {self.deadband}")
+        if not 0 < self.hold < math.inf:
+            raise InputError(f"hold must be positive and finite, got {self.hold}")
 
 
 def _pulse_start_steps(n_steps: int, n_pulses: int) -> list[int]:

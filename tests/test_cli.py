@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -86,6 +87,14 @@ class TestTrajectoryCsv:
         path = tmp_path / "traj.csv"
         write_trajectory_csv(short_trajectory, path, full_state)
         assert path.read_bytes() == reference_trajectory_csv(short_trajectory, full_state).encode()
+
+    def test_chunks_join_to_one_table(self, short_trajectory, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 7)  # 101 rows: 14 full chunks and 3 rows
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(short_trajectory, path, True)
+        text = reference_trajectory_csv(short_trajectory, True)
+        assert path.read_bytes() == text.encode()
+        assert cli._sha256(path) == hashlib.sha256(text.encode()).hexdigest()
 
     @pytest.mark.parametrize("full_state", [False, True])
     def test_edge_values_and_strided_states(self, tmp_path, full_state):
@@ -219,8 +228,15 @@ class TestMain:
              "error: tau: history mode is causal state feedback and needs tau >= 0\n"),
             (["pulse-sweep", "--pulse-counts", "5", "--horizon", "20.005"],
              "error: horizon: pulse train spans [0, 20.005] but the run covers [0, 20.0]\n"),
+            (["delay-sweep", "--n-states", str(10**12)],
+             f"error: n_states: {7 * 10**12} trials of {10**12} states keep their records ("),
+            (["pulse-sweep", "--n-states", str(10**12)],
+             f"error: n_states: {7 * 10**12} trials of {10**12} states keep their records ("),
+            (["dim-scaling", "--n-states", str(10**12)],
+             f"error: n_states: {13 * 10**12} trials of {10**12} states keep their records ("),
         ],
-        ids=["pulse_counts", "taus", "tau", "horizon"],
+        ids=["pulse_counts", "taus", "tau", "horizon", "n_states-delay", "n_states-pulse",
+             "n_states-dims"],
     )
     def test_law_checks_name_their_key_before_any_run(self, argv, err, tmp_path, capsys,
                                                       monkeypatch):

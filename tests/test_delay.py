@@ -27,6 +27,11 @@ class TestDelaySpec:
         with pytest.raises(InputError):
             DelaySpec(tau=-0.5, mode="history")
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tau(self, tau):
+        with pytest.raises(InputError, match="^tau must be finite"):
+            DelaySpec(tau=tau)
+
     def test_unknown_mode(self):
         with pytest.raises(InputError):
             DelaySpec(tau=0.5, mode="predictive")

@@ -134,6 +134,11 @@ class TestSimulate:
         with pytest.raises(InputError):
             simulate(sys5, feedback_law(sys5), basis(0), 0.001, 0.01)
 
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan])
+    def test_non_finite_horizon(self, sys5, horizon):
+        with pytest.raises(InputError, match="^horizon must be finite"):
+            simulate(sys5, feedback_law(sys5), basis(0), horizon, 0.01)
+
     def test_records_initial_condition_first(self, sys5, rng):
         psi0 = random_unit_complex(rng, 5)
         traj = simulate(sys5, feedback_law(sys5), psi0, 1.0, 0.01)
@@ -179,6 +184,15 @@ class TestPropagateExact:
             propagate_exact(sys5, [], basis(0))
         with pytest.raises(InputError):
             propagate_exact(sys5, [(0.0, 1.0)], basis(0))
+
+    @pytest.mark.parametrize(
+        "segment, part",
+        [((np.nan, 0.1), "duration"), ((np.inf, 0.1), "duration"),
+         ((0.1, np.nan), "value"), ((0.1, -np.inf), "value")],
+    )
+    def test_non_finite_segments_name_their_index(self, segment, part):
+        with pytest.raises(InputError, match=rf"^segments\[1\]: {part} must be"):
+            PiecewiseConstantLaw([(0.5, 0.2), segment])
 
 
 class TestTrajectory:

@@ -1,4 +1,4 @@
-"""The polynomial RK4 step and held-field blocks against independent oracles."""
+"""The polynomial RK4 step and the eigenbasis held-field holds against independent oracles."""
 
 import warnings
 
@@ -7,7 +7,9 @@ import pytest
 
 from lyapsim import (
     BangBangSpec,
+    ControlSystem,
     DelaySpec,
+    FieldLaw,
     NumericalError,
     PiecewiseConstantLaw,
     PulseTrainSpec,
@@ -109,6 +111,50 @@ def test_overflowing_field_fails_at_its_step(sys5):
     assert np.all(np.abs(np.linalg.norm(states[:38], axis=1) - 1.0) <= 1e-12)
 
 
+class _AppliedFields(FieldLaw):
+    """Open loop on a given applied-field array, which no public law would accept."""
+
+    def __init__(self, fields):
+        self.fields = fields
+
+    def _compile(self, sys, psi0, n_steps, dt):
+        return self.fields
+
+
+@pytest.mark.parametrize("length", [1, 2, 63])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_held_value_fails_at_its_step(sys5, value, length):
+    psi0 = seeded_initial_states(5, 1, seed=7)[0]
+    f_ref = np.full(101, 0.1)
+    f_ref[37 : 37 + length] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="at step 37 "):
+            simulate(sys5, _AppliedFields(f_ref), psi0, 1.0, 0.01)
+
+
+class _PerStep(FieldLaw):
+    """The field value v as a user law: a one-step hold at every step."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def field(self, t, psi):
+        return self.v
+
+
+def test_nearly_hermitian_h0_held_and_one_step_paths_agree(sys5):
+    # The held path's eigh reads one triangle of H(f), the one-step path all
+    # of it; ControlSystem keeps the Hermitian part, so both see one operator.
+    h0 = sys5.h0.copy()
+    h0[1, 2] += 1e-12  # as far from Hermitian as ControlSystem accepts
+    near = ControlSystem(h0=h0, h1=sys5.h1, target=sys5.target)
+    psi0 = seeded_initial_states(5, 1, seed=7)[0]
+    held = simulate(near, PiecewiseConstantLaw([(10.0, 0.3)]), psi0, 10.0, 0.01)
+    stepped = simulate(near, _PerStep(0.3), psi0, 10.0, 0.01)
+    assert np.max(np.abs(held.states - stepped.states)) <= 1e-13
+
+
 @pytest.mark.parametrize("generic", [False, True])
 def test_guard_applies_per_step_inside_blocks(sys5, generic):
     # At f = 10 each step drifts ~4e-7, under the guard, though 50 steps
@@ -128,7 +174,9 @@ def _laws(sys5, psi0):
     """Each law kind with its field in the per-step reference loop."""
     reference = simulate(sys5, feedback_law(sys5), psi0, 30.0, 0.01)
     design = oracle_run(sys5, psi0, 30.0, 0.01, feedback_at(sys5))[1]
-    hold, per_step, long_hold, ragged = (BangBangSpec(hold=h) for h in (0.5, 0.01, 0.7, 0.65))
+    hold, per_step, long_hold, ragged = (
+        BangBangSpec(hold=h) for h in (0.5, 0.01, 13.0, (_kernels.BLOCK_CAP + 1) * 0.01)
+    )
     return {
         "feedback": (feedback_law(sys5), feedback_at(sys5)),
         "history": (delayed_law(sys5, DelaySpec(0.5, "history")), feedback_at(sys5, 50)),
@@ -138,10 +186,12 @@ def _laws(sys5, psi0):
         # 30 is a whole number of 0.5 holds: the last sample re-quantizes.
         "bang": (bang_bang_law(sys5, hold), bang_at(sys5, hold, 50)),
         "bang-per-step": (bang_bang_law(sys5, per_step), bang_at(sys5, per_step, 1)),
-        # A stride of 70 > BLOCK_CAP, and 30 is not a whole number of 0.7 holds.
-        "bang-long-hold": (bang_bang_law(sys5, long_hold), bang_at(sys5, long_hold, 70)),
-        # A stride of 65 = BLOCK_CAP + 1: every stride ends in a one-step hold.
-        "bang-ragged-hold": (bang_bang_law(sys5, ragged), bang_at(sys5, ragged, 65)),
+        # A stride of 1300 > BLOCK_CAP, and 30 is not a whole number of 13 holds.
+        "bang-long-hold": (bang_bang_law(sys5, long_hold), bang_at(sys5, long_hold, 1300)),
+        # A stride of BLOCK_CAP + 1: every stride ends in a one-step hold.
+        "bang-ragged-hold": (
+            bang_bang_law(sys5, ragged), bang_at(sys5, ragged, _kernels.BLOCK_CAP + 1)
+        ),
     }
 
 

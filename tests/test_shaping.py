@@ -51,6 +51,22 @@ class TestSpecs:
         with pytest.raises(InputError):
             BangBangSpec(f0=0.1, hold=0.0)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("key", ["f0", "deadband", "hold"])
+    def test_bang_spec_rejects_non_finite(self, key, value):
+        with pytest.raises(InputError, match=f"^{key} must be"):
+            BangBangSpec(**{key: value})
+
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan])
+    def test_pulse_spec_rejects_non_finite_horizon(self, horizon):
+        with pytest.raises(InputError, match="^horizon must be"):
+            PulseTrainSpec(n_pulses=10, horizon=horizon)
+
+    @pytest.mark.parametrize("n_pulses", [np.nan, 2.5])
+    def test_pulse_spec_rejects_non_integer_count(self, n_pulses):
+        with pytest.raises(InputError, match="^n_pulses must be an integer"):
+            PulseTrainSpec(n_pulses=n_pulses, horizon=10.0)
+
 
 class TestQuantizer:
     def test_branches(self):
