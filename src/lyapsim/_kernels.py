@@ -35,6 +35,14 @@ fails the drift guard is reported as in a one-step hold. L is capped at
 BLOCK_CAP, so the partition depends only on the law and a table holds at
 most BLOCK_CAP * d numbers.
 
+The states are written to a ring of rows. A hold writes its rows after the
+current state's, so it needs L free rows; when fewer are left, the ring's
+rows before the current state are folded into F = |<target|row>|^2 and the
+current state moves to row 0. A ring of at least BLOCK_CAP + 1 rows
+therefore never wraps inside a hold. A ring of all n_steps + 1 rows never
+fills and keeps every state, folded once at the end. `fidelity` takes one
+dot product per row, so F is the same bits whichever rows a fold takes.
+
 The classic four-stage `rk4_step` is kept as the reference the polynomial
 map is tested against.
 """
@@ -49,6 +57,10 @@ import numpy as np
 
 #: Most steps propagated as one hold in the eigenbasis of H(f).
 BLOCK_CAP = 1024
+
+#: Rows of the ring a run that keeps no states writes into; at least
+#: BLOCK_CAP + 1, so a hold never wraps.
+RING_ROWS = 2 * BLOCK_CAP
 
 
 @dataclass(frozen=True)
@@ -77,6 +89,18 @@ class BangBang:
     stride: int
     f0: float
     deadband: float
+
+
+def fidelity(rows, target):
+    """F = |<target|row>|^2 of each row, one dot product per row.
+
+    For a basis target (one component 1, the rest 0) the dot is row_k plus
+    zeros, so F is |row_k|^2 to the bit and is read from the column.
+    """
+    hot = np.flatnonzero(target)
+    if len(hot) == 1 and target[hot[0]] == 1:
+        return np.abs(rows[:, hot[0]]) ** 2
+    return np.abs(np.vecdot(target, rows)) ** 2
 
 
 def bang_quantize(f_raw, f0, deadband):
@@ -175,19 +199,28 @@ def feedback_and_derivatives(h0, h1, target, h1_target, gain_k, psi):
     return _taylor(np.dot(rows, psi).tolist(), gain_k)
 
 
-def simulate_loop(h0, h1, target, h1_target, gain_k, psi0, n_steps, dt, law, drift_tol):
+def simulate_loop(
+    h0, h1, target, h1_target, gain_k, psi0, n_steps, dt, law, drift_tol, ring_rows=None
+):
     """Fixed-step closed-loop integration under one compiled field law.
 
     law is an array of the n_steps + 1 applied fields (open loop), a
     Feedback, PastFeedback, TaylorFeedback or BangBang record, or a callable
     field(t, psi). The field is sampled at each hold start and held across
-    the hold. Returns (states, fields, bad_step); bad_step is the first step
-    whose pre-renormalization norm drift exceeds drift_tol, or -1.
+    the hold. The states go through a ring of ring_rows rows (at least
+    BLOCK_CAP + 1), or of all n_steps + 1 when ring_rows is None.
+
+    Returns (states, fields, fidelity, bad_step). states is every state when
+    ring_rows is None, else the first and the last; bad_step is the first
+    step whose pre-renormalization norm drift exceeds drift_tol, or -1.
+    fidelity holds F of every state up to bad_step.
     """
     dim = psi0.shape[0]
-    states = np.empty((n_steps + 1, dim), dtype=np.complex128)
-    states[0] = psi0
-    states_r = states.view(np.float64)
+    n_rows = n_steps + 1 if ring_rows is None else min(ring_rows, n_steps + 1)
+    ring = np.empty((n_rows, dim), dtype=np.complex128)
+    ring[0] = psi0
+    ring_r = ring.view(np.float64)
+    fid = np.empty(n_steps + 1)
     taylor = isinstance(law, TaylorFeedback)
     past = isinstance(law, PastFeedback)
     bang = isinstance(law, BangBang)
@@ -217,7 +250,16 @@ def simulate_loop(h0, h1, target, h1_target, gain_k, psi0, n_steps, dt, law, dri
     held = {}  # the tables of the last long hold's f, or of bang-bang's levels
     amp = 0.0
     i = run = 0
-    psi = states[0]
+    r = 0  # the ring row of step i
+    bad_step = -1
+    psi = ring[0]
+
+    def fold(i, r):
+        """Fold the rows before row r into F; step i moves from row r to row 0."""
+        fid[i - r : i] = fidelity(ring[:r], target)
+        ring[0] = ring[r]
+        return ring[0]
+
     with np.errstate(all="ignore"):
         while True:
             if every:
@@ -235,7 +277,10 @@ def simulate_loop(h0, h1, target, h1_target, gain_k, psi0, n_steps, dt, law, dri
                         f = raw[0] if i >= delay_steps else 0.0
                 fields[i] = f
                 if i == n_steps:
-                    return states, fields, -1
+                    break
+                if r + 1 == n_rows:
+                    psi = fold(i, r)
+                    r = 0
             else:
                 if bang and i % stride == 0:
                     big.dot(psi, z)
@@ -244,7 +289,7 @@ def simulate_loop(h0, h1, target, h1_target, gain_k, psi0, n_steps, dt, law, dri
                 if i == n_steps:
                     if bang:
                         fields[i] = amp
-                    return states, fields, -1
+                    break
                 if bang:
                     length = min(stride - i % stride, BLOCK_CAP, n_steps - i)
                     fields[i : i + length] = amp
@@ -253,32 +298,38 @@ def simulate_loop(h0, h1, target, h1_target, gain_k, psi0, n_steps, dt, law, dri
                         run += 1
                     length = min(ends[run] - i, BLOCK_CAP)
                 f = float(fields[i])
+                if r + length >= n_rows:  # too few free rows for the hold
+                    psi = fold(i, r)
+                    r = 0
                 if length > 1:
                     hold = held.get(f)
                     if hold is None or len(hold[2]) < length:
                         h = h0 + f * h1
                         if not np.isfinite(h).all():  # eigh raises on it
-                            return states, fields, i
+                            bad_step = i
+                            break
                         lam, v = np.linalg.eigh(h)
                         x = (-1j * dt) * lam
                         mu = 1.0 + x * (1.0 + x * (0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0))))
                         if not bang:
                             held.clear()
-                        n_rows = min(stride, BLOCK_CAP) if bang else length
-                        table = np.cumprod(np.broadcast_to(mu, (n_rows, dim)), axis=0)
+                        table_rows = min(stride, BLOCK_CAP) if bang else length
+                        table = np.cumprod(np.broadcast_to(mu, (table_rows, dim)), axis=0)
                         hold = held[f] = (v.conj(), v.T, table)
-                    vc, vt, table = hold  # conj(V), V^T and mu^1..mu^n_rows
+                    vc, vt, table = hold  # conj(V), V^T and mu^1..mu^table_rows
                     block = (table[:length] * psi.dot(vc)) @ vt
                     block_r = block.view(np.float64)
                     norms = np.sqrt(np.einsum("ij,ij->i", block_r, block_r))
                     prev = np.concatenate(([1.0], norms[:-1]))
                     bad = np.flatnonzero(~(np.abs(norms / prev - 1.0) <= drift_tol))
                     n_ok = int(bad[0]) if len(bad) else length
-                    np.divide(block[:n_ok], norms[:n_ok, None], out=states[i + 1 : i + 1 + n_ok])
+                    np.divide(block[:n_ok], norms[:n_ok, None], out=ring[r + 1 : r + 1 + n_ok])
+                    i += n_ok
+                    r += n_ok
                     if len(bad):
-                        return states, fields, i + n_ok
-                    psi = states[i + length]
-                    i += length
+                        bad_step = i
+                        break
+                    psi = ring[r]
                     continue
                 if not bang or i % stride:  # else the sample just loaded z
                     big.dot(psi, z)
@@ -291,8 +342,13 @@ def simulate_loop(h0, h1, target, h1_target, gain_k, psi0, n_steps, dt, law, dri
             mono.dot(zk, nxt_r)
             nrm = sqrt(nxt_r.dot(nxt_r))
             # The bits of the complex nxt / nrm, but for the sign of a zero real part.
-            multiply(nxt_r, 1.0 / nrm if nrm > 0.0 else 1.0, out=states_r[i + 1])
-            psi = states[i + 1]
+            multiply(nxt_r, 1.0 / nrm if nrm > 0.0 else 1.0, out=ring_r[r + 1])
             if not (abs(nrm - 1.0) <= drift_tol):  # catches NaN as well
-                return states, fields, i
+                bad_step = i
+                break
             i += 1
+            r += 1
+            psi = ring[r]
+    fid[i - r : i + 1] = fidelity(ring[: r + 1], target)
+    states = ring if ring_rows is None else np.array([psi0, ring[r]], dtype=np.complex128)
+    return states, fields, fid, bad_step

@@ -71,11 +71,16 @@ def write_trajectory_csv(traj: Trajectory, path, full_state: bool = False) -> No
 
     Each chunk of rows is formatted by one %-operation; '%.17g' % x and
     format(x, ".17g") are the same float conversion, so the cells are those
-    of _fmt.
+    of _fmt. full_state needs a trajectory that kept every state.
     """
     header = ["t", "f", "V", "F"]
     columns = [traj.times, traj.fields, traj.lyapunov, traj.fidelity]
     if full_state:
+        if len(traj.states) != len(traj):
+            raise InputError(
+                "the trajectory kept only its first and last state; "
+                "simulate with states=True to write every state"
+            )
         dim = traj.states.shape[1]
         header += [f"{part}_psi_{i}" for i in range(1, dim + 1) for part in ("re", "im")]
         # The float view interleaves re/im per component, matching the header.
@@ -271,7 +276,7 @@ def _trajectory_for(cfg: ExperimentConfig, sys5) -> Trajectory:
         spec = DelaySpec(cfg.tau, cfg.delay_mode)
         reference = None
         if spec.resolved_mode() == "replay":
-            reference = simulate(sys5, feedback_law(sys5), psi0, cfg.horizon, cfg.dt)
+            reference = simulate(sys5, feedback_law(sys5), psi0, cfg.horizon, cfg.dt, states=False)
         law = delayed_law(sys5, spec, reference)
     elif cfg.preset in ("fig2", "fig3"):
         _check_pulses("n_pulses", cfg, cfg.n_pulses)
@@ -282,7 +287,7 @@ def _trajectory_for(cfg: ExperimentConfig, sys5) -> Trajectory:
         law = feedback_law(sys5)
     else:
         raise ConfigError(f"preset: {cfg.preset!r} is a sweep study; use its dedicated command")
-    return simulate(sys5, law, psi0, cfg.horizon, cfg.dt)
+    return simulate(sys5, law, psi0, cfg.horizon, cfg.dt, states=cfg.full_state)
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> str:
@@ -295,7 +300,9 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> str:
 def _cmd_bang_bang(cfg: ExperimentConfig, out_dir: Path) -> str:
     sys5 = _system(cfg)
     law = bang_bang_law(sys5, BangBangSpec(cfg.f0, cfg.deadband))
-    traj = simulate(sys5, law, _initial_state(cfg, sys5.dim), cfg.horizon, cfg.dt)
+    traj = simulate(
+        sys5, law, _initial_state(cfg, sys5.dim), cfg.horizon, cfg.dt, states=cfg.full_state
+    )
     write_trajectory_csv(traj, out_dir / "trajectory.csv", cfg.full_state)
     _write_manifest(out_dir, "bang-bang", cfg, ["trajectory.csv"])
     return f"bang-bang: final fidelity {traj.final_fidelity:.6f}"

@@ -162,6 +162,7 @@ def delay_sweep(
     """
     return paired_sweep(
         sys,
+        "taus",
         [float(t) for t in taus],
         lambda tau, reference: delayed_law(sys, DelaySpec(tau, mode), reference),
         n_states,

@@ -94,7 +94,12 @@ def check_design_system(designed_on: ControlSystem, sys: ControlSystem) -> None:
 
 @dataclass
 class Trajectory:
-    """Recorded run: sample times, states, applied field, V and F per sample."""
+    """Recorded run: sample times, states, applied field, V and F per sample.
+
+    A reduced record (simulate with states=False) keeps every sample's time,
+    field, V and F but only the first and the last state: states then has
+    two rows, so states[0] and final_state still read the run's ends.
+    """
 
     times: np.ndarray
     states: np.ndarray
@@ -104,10 +109,10 @@ class Trajectory:
 
     def __post_init__(self):
         n = len(self.times)
-        if not (
-            len(self.states) == len(self.fields) == len(self.lyapunov) == len(self.fidelity) == n
-        ):
+        if not len(self.fields) == len(self.lyapunov) == len(self.fidelity) == n:
             raise InputError("trajectory arrays must share one length")
+        if len(self.states) not in (n, 2):
+            raise InputError("trajectory states must hold every sample, or the first and last")
         if n == 0:
             raise InputError("trajectory must contain at least one sample")
         if np.any(np.diff(self.times) <= 0):
@@ -146,8 +151,10 @@ class FieldLaw:
     """Applied-field rule, evaluated at each step start and held across the step.
 
     A user law subclasses FieldLaw and implements field(t, psi), which
-    simulate calls once per step with the step's start time and state. The
-    built-in laws are immutable records that override _compile instead.
+    simulate calls once per step with the step's start time and state. psi
+    is a row of the integrator's state store, valid only for the duration
+    of the call: copy it to keep it. The built-in laws are immutable records
+    that override _compile instead.
     """
 
     def field(self, t: float, psi: np.ndarray) -> float:
@@ -209,25 +216,31 @@ def simulate(
     psi0: np.ndarray,
     horizon: float,
     dt: float = DEFAULT_DT,
+    states: bool = True,
 ) -> Trajectory:
     """Integrate the controlled dynamics under an applied-field law.
 
     The first record is the initial condition at t = 0; each subsequent
-    record follows one RK4 step of size dt. Raises NumericalError when a
-    single step drifts the norm by more than NORM_DRIFT_GUARD before
-    renormalization.
+    record follows one RK4 step of size dt. Every sample's time, field, V
+    and F are recorded; with states=False only the first and the last state
+    are kept (a reduced Trajectory), which the sweeps use, since they read
+    only F. Raises NumericalError when a single step drifts the norm by
+    more than NORM_DRIFT_GUARD before renormalization.
     """
     n_steps = _step_count(horizon, dt)
     psi0 = linalg.as_state(psi0)
     if psi0.shape[0] != sys.dim:
         raise InputError(f"state dimension {psi0.shape[0]} != system dimension {sys.dim}")
+    ring_rows = None if states else _kernels.RING_ROWS
+    kept = n_steps + 1 if states else min(ring_rows, n_steps + 1)
     _check_memory(
-        (n_steps + 1) * sys.dim * 16,
-        f"horizon={horizon:g} with dt={dt:g} records {n_steps + 1} states of dimension {sys.dim}",
+        (n_steps + 1) * 32 + kept * sys.dim * 16,
+        f"horizon={horizon:g} with dt={dt:g} records {n_steps + 1} samples"
+        + (f" and their states of dimension {sys.dim}" if states else ""),
         "shorten horizon or raise dt",
     )
     dt = float(dt)
-    states, fields, bad_step = _kernels.simulate_loop(
+    kept_states, fields, fid, bad_step = _kernels.simulate_loop(
         sys.h0,
         sys.h1,
         sys.target,
@@ -238,13 +251,14 @@ def simulate(
         dt,
         law._compile(sys, psi0, n_steps, dt),
         NORM_DRIFT_GUARD,
+        ring_rows,
     )
     if bad_step >= 0:
         raise NumericalError(
             f"norm drift exceeded {NORM_DRIFT_GUARD:.0e} at step {bad_step} "
             f"(t={bad_step * dt:.4g}); dt is likely too large for this field law"
         )
-    return _make_trajectory(sys, np.arange(n_steps + 1) * dt, states, fields)
+    return _make_trajectory(np.arange(n_steps + 1) * dt, kept_states, fields, fid)
 
 
 def propagate_exact(sys: ControlSystem, segments, psi0: np.ndarray) -> Trajectory:
@@ -274,12 +288,10 @@ def propagate_exact(sys: ControlSystem, segments, psi0: np.ndarray) -> Trajector
         times[i + 1] = t
         fields[i] = value
     fields[n] = segments[-1][1]
-    return _make_trajectory(sys, times, states, fields)
+    return _make_trajectory(times, states, fields, _kernels.fidelity(states, sys.target))
 
 
-def _make_trajectory(sys, times, states, fields) -> Trajectory:
-    overlaps = states @ sys.target.conj()
-    fid = np.abs(overlaps) ** 2
+def _make_trajectory(times, states, fields, fid) -> Trajectory:
     return Trajectory(
         times=times,
         states=states,

@@ -134,7 +134,7 @@ class SweepPoint:
     n: int
 
 
-def paired_sweep(sys, params, make_law, n_states, seed, horizon, dt, design=False):
+def paired_sweep(sys, key, params, make_law, n_states, seed, horizon, dt, design=False):
     """One SweepPoint of final-fidelity statistics per parameter.
 
     Every parameter runs from the same seeded states (a paired design, for
@@ -142,22 +142,32 @@ def paired_sweep(sys, params, make_law, n_states, seed, horizon, dt, design=Fals
     with design=True, reference is the delay-free closed-loop run from the
     trial's state, run once per state, else None. A state's laws are built
     as soon as its design run ends, so only what they keep of it stays in
-    memory while the trials run.
+    memory while the trials run. A NumericalError names its run: the design
+    run of state i, or key[j]=param, state i.
     """
     # Its state's laws keep a design run's fields, and a pulse law its times too.
     kept = 16 * (_step_count(horizon, dt) + 1) if design else 0
     _check_sweep_memory(n_states, n_states * len(params), kept)
     states = seeded_initial_states(sys.dim, n_states, seed)
 
-    def state_laws(psi0):
-        reference = simulate(sys, feedback_law(sys), psi0, horizon, dt) if design else None
+    def run(name, law, psi0):
+        try:
+            return simulate(sys, law, psi0, horizon, dt, states=False)
+        except NumericalError as exc:
+            raise NumericalError(f"{name}: {exc}") from exc
+
+    def state_laws(task):
+        i, psi0 = task
+        reference = run(f"design run, state {i}", feedback_law(sys), psi0) if design else None
         return [make_law(param, reference) for param in params]
 
-    laws = parallel_map(state_laws, states)
-    tasks = [(laws[i][j], states[i]) for j in range(len(params)) for i in range(n_states)]
-    finals = parallel_map(
-        lambda task: simulate(sys, task[0], task[1], horizon, dt).final_fidelity, tasks
-    )
+    def trial(task):
+        j, i = task
+        name = f"{key}[{j}]={params[j]!r}, state {i}"
+        return run(name, laws[i][j], states[i]).final_fidelity
+
+    laws = parallel_map(state_laws, list(enumerate(states)))
+    finals = parallel_map(trial, [(j, i) for j in range(len(params)) for i in range(n_states)])
     points = []
     for j, param in enumerate(params):
         chunk = np.array(finals[j * n_states : (j + 1) * n_states])
@@ -337,14 +347,17 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def _scaling_trial(args):
-    seed, dim, trial, horizon, dt, threshold, fidelity_time = args
+    seed, d_idx, dim, trial, horizon, dt, threshold, fidelity_time = args
     rng = derive_rng(seed, dim, trial)
     sys, retries = random_scaling_instance_with_retries(dim, rng)
     psi0 = random_initial_state(dim, rng)
     report = check_convergence(sys)
     if not report.invariant_set_trivial:
         raise NumericalError(f"generated instance violates the convergence preconditions (dim {dim})")
-    traj = simulate(sys, feedback_law(sys), psi0, horizon, dt)
+    try:
+        traj = simulate(sys, feedback_law(sys), psi0, horizon, dt, states=False)
+    except NumericalError as exc:
+        raise NumericalError(f"dims[{d_idx}]={dim}, trial {trial}: {exc}") from exc
     t_conv = convergence_time(traj, threshold)
     return t_conv, traj.fidelity_at(fidelity_time), retries
 
@@ -360,8 +373,8 @@ def run_dimension_scaling(cfg: ExperimentConfig) -> list[ScalingRow]:
     _check_fidelity_time(cfg)
     _check_sweep_memory(cfg.n_states, cfg.n_states * len(cfg.dims))
     tasks = [
-        (cfg.seed, dim, trial, cfg.horizon, cfg.dt, cfg.threshold, cfg.fidelity_time)
-        for dim in cfg.dims
+        (cfg.seed, d_idx, dim, trial, cfg.horizon, cfg.dt, cfg.threshold, cfg.fidelity_time)
+        for d_idx, dim in enumerate(cfg.dims)
         for trial in range(cfg.n_states)
     ]
     outcomes = parallel_map(_scaling_trial, tasks)

@@ -112,7 +112,9 @@ class _PulseTrainLaw(FieldLaw):
         spec = self.spec
         _check_pulse_grid(spec, n_steps, dt)
         if self.design is None:
-            design_fields = simulate(sys, feedback_law(sys), psi0, spec.horizon, dt).fields
+            design_fields = simulate(
+                sys, feedback_law(sys), psi0, spec.horizon, dt, states=False
+            ).fields
         else:
             times, design_fields, design_psi0 = self.design
             if len(times) != n_steps + 1 or abs(times[1] - times[0] - dt) > 1e-9 * dt:
@@ -120,13 +122,11 @@ class _PulseTrainLaw(FieldLaw):
             if np.max(np.abs(design_psi0 - psi0)) > 1e-12:
                 raise InputError("pulse reference was designed for a different initial state")
 
-        n = spec.n_pulses
-        bounds = _pulse_start_steps(n_steps, n) + [n_steps]
-        f_applied = np.empty(n_steps + 1)
-        for p in range(n):
-            f_applied[bounds[p] : bounds[p + 1]] = np.mean(design_fields[bounds[p] : bounds[p + 1]])
-        f_applied[n_steps] = f_applied[n_steps - 1]
-        return f_applied
+        # Pulse starts strictly increase: _check_pulse_grid refuses a pulse shorter than dt.
+        starts = _pulse_start_steps(n_steps, spec.n_pulses)
+        widths = np.diff(starts + [n_steps])
+        amplitudes = np.add.reduceat(design_fields[:n_steps], starts) / widths
+        return np.append(np.repeat(amplitudes, widths), amplitudes[-1])
 
 
 def pulsed_law(
@@ -185,6 +185,7 @@ def pulse_count_sweep(
     """
     return paired_sweep(
         sys,
+        "pulse_counts",
         [int(c) for c in counts],
         lambda count, reference: pulsed_law(sys, PulseTrainSpec(count, horizon), reference),
         n_states,

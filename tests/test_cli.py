@@ -4,7 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from lyapsim import ConfigError, Trajectory, build_config, feedback_law, preset_5dim, simulate
+from lyapsim import (
+    ConfigError,
+    InputError,
+    Trajectory,
+    build_config,
+    feedback_law,
+    preset_5dim,
+    simulate,
+)
 from lyapsim import cli, experiments
 from lyapsim.cli import (
     main,
@@ -95,6 +103,16 @@ class TestTrajectoryCsv:
         text = reference_trajectory_csv(short_trajectory, True)
         assert path.read_bytes() == text.encode()
         assert cli._sha256(path) == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_reduced_record_writes_no_states(self, short_trajectory, tmp_path):
+        sys5 = preset_5dim()
+        psi0 = short_trajectory.states[0]
+        reduced = simulate(sys5, feedback_law(sys5), psi0, 1.0, 0.01, states=False)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(reduced, path)
+        assert path.read_bytes() == reference_trajectory_csv(short_trajectory).encode()
+        with pytest.raises(InputError, match="first and last state"):
+            write_trajectory_csv(reduced, path, full_state=True)
 
     @pytest.mark.parametrize("full_state", [False, True])
     def test_edge_values_and_strided_states(self, tmp_path, full_state):
@@ -258,6 +276,28 @@ class TestMain:
         code = main(["simulate", "--preset", "custom", "--gain-k", "1e9",
                      "--horizon", "5", "--seed", "1", "--out", str(out)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, trial",
+        [
+            (["delay-sweep", "--preset", "fig1", "--n-states", "2", "--taus=0.1,-0.1",
+              "--dt", "0.5", "--horizon", "10"], "taus[0]=0.1, state 0"),
+            (["pulse-sweep", "--preset", "fig3", "--n-states", "1", "--dt", "0.5",
+              "--horizon", "50", "--pulse-counts", "10"], "design run, state 0"),
+            (["dim-scaling", "--config", "{config}"], "dims[0]=4, trial 0"),
+        ],
+        ids=["delay-sweep", "pulse-sweep", "dim-scaling"],
+    )
+    def test_sweep_failure_names_its_trial(self, argv, trial, tmp_path, capsys):
+        config = self._config(
+            tmp_path,
+            '{"preset":"fig5","n_states":1,"dt":0.5,"horizon":10,"fidelity_time":5}',
+        )
+        argv = [str(config) if a == "{config}" else a for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"numerical failure: {trial}: norm drift exceeded 1e-06 at step 0 (t=0)"
+        )
 
     @pytest.mark.parametrize(
         "dims, code, err",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,16 +8,24 @@ from hypothesis import strategies as st
 from lyapsim import (
     BangBangSpec,
     ControlSystem,
+    DelaySpec,
     InputError,
     NumericalError,
     PiecewiseConstantLaw,
+    PulseTrainSpec,
     bang_bang_law,
     control_field,
+    delayed_law,
+    derive_rng,
     feedback_law,
     propagate_exact,
+    pulsed_law,
+    random_initial_state,
     seeded_initial_states,
     simulate,
 )
+from lyapsim._kernels import RING_ROWS
+from lyapsim.experiments import random_scaling_instance_with_retries
 from lyapsim._kernels import rk4_step
 from lyapsim.dynamics import FieldLaw
 
@@ -263,3 +273,81 @@ class TestGenericLoop:
         traj = simulate(sys5, Recorder(), random_unit_complex(rng, 5), 1.0, 0.01)
         assert np.array_equal([t for t, _ in seen], traj.times)
         assert np.array_equal([psi for _, psi in seen], traj.states)
+
+
+class _HalfFeedback(FieldLaw):
+    """A user law: half the feedback of the state it is given."""
+
+    def __init__(self, sys):
+        self.sys = sys
+
+    def field(self, t, psi):
+        return 0.5 * control_field(psi, self.sys)
+
+
+def _every_law_kind(sys, psi0, horizon):
+    reference = simulate(sys, feedback_law(sys), psi0, horizon, 0.01)
+    return {
+        "feedback": feedback_law(sys),
+        "history": delayed_law(sys, DelaySpec(0.5, "history")),
+        "taylor": delayed_law(sys, DelaySpec(-0.5, "taylor")),
+        "replay": delayed_law(sys, DelaySpec(-0.3, "replay"), reference),
+        "pulses": pulsed_law(sys, PulseTrainSpec(7, horizon), reference),
+        "piecewise": PiecewiseConstantLaw([(7.0, 0.3), (0.01, -0.5), (13.0, 0.1)]),
+        # Holds of 1000 steps: the one at step 2000 starts with fewer free
+        # ring rows than it is long.
+        "bang": bang_bang_law(sys, BangBangSpec(hold=10.0)),
+        "user": _HalfFeedback(sys),
+    }
+
+
+class TestReducedRecord:
+    @pytest.mark.parametrize("target", ["preset", "random"])
+    @pytest.mark.parametrize(
+        "kind", ["feedback", "history", "taylor", "replay", "pulses", "piecewise", "bang", "user"]
+    )
+    def test_matches_the_full_record(self, sys5, kind, target):
+        sys = sys5 if target == "preset" else random_system(np.random.default_rng(5), 5, 2, 1.0)
+        if target == "random":
+            assert np.count_nonzero(np.abs(sys.target) > 1e-3) == 5
+        psi0 = seeded_initial_states(5, 1, seed=3)[0]
+        law = _every_law_kind(sys, psi0, 30.0)[kind]
+        assert 30.0 / 0.01 > RING_ROWS  # the ring wraps
+        full = simulate(sys, law, psi0, 30.0, 0.01)
+        reduced = simulate(sys, law, psi0, 30.0, 0.01, states=False)
+        assert reduced.states.shape == (2, 5)
+        for name in ("times", "fields", "lyapunov", "fidelity"):
+            assert np.array_equal(getattr(reduced, name), getattr(full, name)), name
+        assert np.array_equal(reduced.states[0], full.states[0])
+        assert np.array_equal(reduced.final_state, full.final_state)
+
+    @pytest.mark.parametrize("states", [True, False])
+    @pytest.mark.parametrize("held", [True, False])
+    def test_drift_failure_at_the_same_step(self, sys5, states, held):
+        # Step 2500 lies past the reduced ring's first wrap.
+        class Blowup(FieldLaw):
+            def field(self, t, psi):
+                return 1e8 if t >= 24.999 else 0.1
+
+        law = PiecewiseConstantLaw([(25.0, 0.1), (5.0, 1e8)]) if held else Blowup()
+        psi0 = seeded_initial_states(5, 1, seed=7)[0]
+        with pytest.raises(NumericalError, match="at step 2500 "):
+            simulate(sys5, law, psi0, 30.0, 0.01, states=states)
+
+    def test_peak_memory_without_states(self):
+        # The d = 16 trial of the dimension-scaling study.
+        rng = derive_rng(0, 16, 0)
+        sys16, _ = random_scaling_instance_with_retries(16, rng)
+        psi0 = random_initial_state(16, rng)
+
+        def peak(horizon, states):
+            tracemalloc.start()
+            try:
+                simulate(sys16, feedback_law(sys16), psi0, horizon, 0.01, states=states)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # tracemalloc sees the states array of a shorter run that keeps them.
+        assert peak(30.0, True) > 3001 * 16 * 16
+        assert peak(300.0, False) < 30001 * 16 * 16 / 4

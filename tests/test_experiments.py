@@ -290,7 +290,7 @@ class TestDimensionScaling:
         (row,) = run_dimension_scaling(cfg)
         assert row.n_trials == 3
         direct = [
-            _scaling_trial((13, 5, t, 160.0, 0.01, 0.95, 150.0)) for t in range(3)
+            _scaling_trial((13, 0, 5, t, 160.0, 0.01, 0.95, 150.0)) for t in range(3)
         ]
         times = [t if t is not None else 160.0 for t, _, _ in direct]
         assert row.mean_convergence_time == pytest.approx(np.mean(times), abs=1e-12)

@@ -30,6 +30,7 @@ from helpers import (
     oracle_run,
     pulses_at,
     random_hermitian,
+    random_system,
     random_unit_complex,
     replay_at,
     taylor_at,
@@ -46,7 +47,7 @@ def _replay_loop(sys5, psi0, f_ref, dt=0.01):
 def test_drift_guard_reports_step():
     sys5 = preset_5dim()
     psi0 = seeded_initial_states(5, 1, seed=7)[0]
-    states, fields, bad_step = _replay_loop(sys5, psi0, np.full(101, 1e8))
+    states, fields, _, bad_step = _replay_loop(sys5, psi0, np.full(101, 1e8))
     assert bad_step == 0
 
 
@@ -69,11 +70,11 @@ def test_polynomial_map_matches_classic_rk4(dim):
         expected, expected_drift = _kernels.rk4_step(h0, h1, f, 0.01, psi)
         raw = sum(f**k * m[k] for k in range(5)) @ psi
         assert np.max(np.abs(raw / np.linalg.norm(raw) - expected)) <= 1e-14
-        states, _, bad_step = one_step(f, psi, expected_drift + 1e-14)
+        states, _, _, bad_step = one_step(f, psi, expected_drift + 1e-14)
         assert bad_step == -1
         assert np.max(np.abs(states[1] - expected)) <= 1e-14
         # The kernel's drift is within 1e-14 of the oracle's from both sides.
-        assert one_step(f, psi, expected_drift - 1e-14)[2] == 0
+        assert one_step(f, psi, expected_drift - 1e-14)[3] == 0
 
 
 def _segment_field(values, ends):
@@ -104,7 +105,7 @@ def test_overflowing_field_fails_at_its_step(sys5):
     f_ref[37:] = 1e8
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        states, fields, bad_step = _replay_loop(sys5, psi0, f_ref)
+        states, fields, _, bad_step = _replay_loop(sys5, psi0, f_ref)
         with pytest.raises(NumericalError, match="step 37"):
             simulate(sys5, PiecewiseConstantLaw([(0.37, 0.1), (0.63, 1e8)]), psi0, 1.0, 0.01)
     assert bad_step == 37
@@ -213,3 +214,46 @@ def test_kernel_matches_generic_path(sys5, kind):
         assert np.array_equal(fast.fields, fields)
     assert np.max(np.abs(fast.fields - fields)) <= 1e-12
     assert np.max(np.abs(fast.states - states)) <= 1e-12
+
+
+@pytest.mark.parametrize("law", ["feedback", "bang", "open-loop"])
+def test_fidelity_does_not_depend_on_the_ring(law):
+    # A non-basis target, so every component enters <target|psi>.
+    sys = random_system(np.random.default_rng(3), 6, 1, 1.0)
+    psi0 = random_unit_complex(np.random.default_rng(4), 6)
+    cap = _kernels.BLOCK_CAP
+    n_steps = 4 * (cap + 1)
+    # Open loop: a one-step hold, then a hold of BLOCK_CAP steps. In the
+    # smallest ring that hold starts at row 1 and first folds one row.
+    record = {
+        "feedback": _kernels.Feedback(),
+        "bang": _kernels.BangBang(700, 0.1, 1e-8),
+        "open-loop": np.where(np.arange(n_steps + 1) % (cap + 1) == 0, 0.2, -0.1),
+    }[law]
+    runs = [
+        _kernels.simulate_loop(
+            sys.h0, sys.h1, sys.target, sys.h1_target(), sys.gain_k,
+            psi0, n_steps, 0.01, record, 1e-6, ring_rows,
+        )
+        for ring_rows in (None, cap + 1, 1500, _kernels.RING_ROWS)
+    ]
+    full = runs[0]
+    assert full[3] == -1
+    assert np.array_equal(full[2], _kernels.fidelity(full[0], sys.target))
+    for states, fields, fid, bad_step in runs[1:]:
+        assert bad_step == -1
+        assert np.array_equal(fields, full[1])
+        assert np.array_equal(fid, full[2])
+        assert np.array_equal(states, full[0][[0, -1]])
+
+
+@pytest.mark.parametrize("dim", [2, 5, 16])
+def test_basis_target_fidelity_is_the_dot_product(dim):
+    # fidelity reads a basis target's column; the bits are those of the dot.
+    rng = np.random.default_rng(dim)
+    rows = np.array([random_unit_complex(rng, dim) for _ in range(300)])
+    rows[:3, 0] = [0.0, -0.0, 0.5j]
+    for k in range(dim):
+        e = np.zeros(dim, dtype=np.complex128)
+        e[k] = 1.0
+        assert np.array_equal(_kernels.fidelity(rows, e), np.abs(np.vecdot(e, rows)) ** 2)
