@@ -40,8 +40,8 @@ current state's, so it needs L free rows; when fewer are left, the ring's
 rows before the current state are folded into F = |<target|row>|^2 and the
 current state moves to row 0. A ring of at least BLOCK_CAP + 1 rows
 therefore never wraps inside a hold. A ring of all n_steps + 1 rows never
-fills and keeps every state, folded once at the end. `fidelity` takes one
-dot product per row, so F is the same bits whichever rows a fold takes.
+fills and keeps every state, folded once at the end. `fidelity` sums
+each row on its own, so F is the same bits whichever rows a fold takes.
 
 The classic four-stage `rk4_step` is kept as the reference the polynomial
 map is tested against.
@@ -92,15 +92,13 @@ class BangBang:
 
 
 def fidelity(rows, target):
-    """F = |<target|row>|^2 of each row, one dot product per row.
+    """F = |<target|row>|^2 of each row.
 
-    For a basis target (one component 1, the rest 0) the dot is row_k plus
-    zeros, so F is |row_k|^2 to the bit and is read from the column.
+    einsum sums each row's products on its own, in component order, so a
+    row's F does not depend on the rows beside it, and a basis target's F
+    is |row_k|^2 to the bit.
     """
-    hot = np.flatnonzero(target)
-    if len(hot) == 1 and target[hot[0]] == 1:
-        return np.abs(rows[:, hot[0]]) ** 2
-    return np.abs(np.vecdot(target, rows)) ** 2
+    return np.abs(np.einsum("ij,j->i", rows, target.conj())) ** 2
 
 
 def bang_quantize(f_raw, f0, deadband):

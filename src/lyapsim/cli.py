@@ -76,7 +76,7 @@ def write_trajectory_csv(traj: Trajectory, path, full_state: bool = False) -> No
     header = ["t", "f", "V", "F"]
     columns = [traj.times, traj.fields, traj.lyapunov, traj.fidelity]
     if full_state:
-        if len(traj.states) != len(traj):
+        if traj.reduced:
             raise InputError(
                 "the trajectory kept only its first and last state; "
                 "simulate with states=True to write every state"

@@ -96,9 +96,10 @@ def check_design_system(designed_on: ControlSystem, sys: ControlSystem) -> None:
 class Trajectory:
     """Recorded run: sample times, states, applied field, V and F per sample.
 
-    A reduced record (simulate with states=False) keeps every sample's time,
-    field, V and F but only the first and the last state: states then has
-    two rows, so states[0] and final_state still read the run's ends.
+    A reduced record (reduced=True, as simulate with states=False makes)
+    keeps every sample's time, field, V and F but only the first and the
+    last state: states then has two rows, so states[0] and final_state
+    still read the run's ends. Any other record has one state per sample.
     """
 
     times: np.ndarray
@@ -106,13 +107,17 @@ class Trajectory:
     fields: np.ndarray
     lyapunov: np.ndarray
     fidelity: np.ndarray
+    reduced: bool = False
 
     def __post_init__(self):
         n = len(self.times)
         if not len(self.fields) == len(self.lyapunov) == len(self.fidelity) == n:
             raise InputError("trajectory arrays must share one length")
-        if len(self.states) not in (n, 2):
-            raise InputError("trajectory states must hold every sample, or the first and last")
+        if len(self.states) != (2 if self.reduced else n):
+            raise InputError(
+                "trajectory states must hold every sample"
+                + (", or the first and last of a reduced one" if self.reduced else "")
+            )
         if n == 0:
             raise InputError("trajectory must contain at least one sample")
         if np.any(np.diff(self.times) <= 0):
@@ -258,7 +263,7 @@ def simulate(
             f"norm drift exceeded {NORM_DRIFT_GUARD:.0e} at step {bad_step} "
             f"(t={bad_step * dt:.4g}); dt is likely too large for this field law"
         )
-    return _make_trajectory(np.arange(n_steps + 1) * dt, kept_states, fields, fid)
+    return _make_trajectory(np.arange(n_steps + 1) * dt, kept_states, fields, fid, not states)
 
 
 def propagate_exact(sys: ControlSystem, segments, psi0: np.ndarray) -> Trajectory:
@@ -291,11 +296,12 @@ def propagate_exact(sys: ControlSystem, segments, psi0: np.ndarray) -> Trajector
     return _make_trajectory(times, states, fields, _kernels.fidelity(states, sys.target))
 
 
-def _make_trajectory(times, states, fields, fid) -> Trajectory:
+def _make_trajectory(times, states, fields, fid, reduced=False) -> Trajectory:
     return Trajectory(
         times=times,
         states=states,
         fields=fields,
         lyapunov=1.0 - fid,
         fidelity=fid,
+        reduced=reduced,
     )

@@ -222,6 +222,21 @@ class TestTrajectory:
             Trajectory(times=times, states=states, fields=np.zeros(1),
                        lyapunov=np.zeros(2), fidelity=np.ones(2))
 
+    def test_only_a_reduced_record_keeps_two_states(self):
+        from lyapsim import Trajectory
+
+        def make(n_states, reduced):
+            states = np.zeros((n_states, 5), dtype=np.complex128)
+            states[:, 0] = 1.0
+            return Trajectory(times=np.arange(3.0), states=states, fields=np.zeros(3),
+                              lyapunov=np.zeros(3), fidelity=np.ones(3), reduced=reduced)
+
+        assert not make(3, False).reduced
+        assert make(2, True).reduced
+        for n_states, reduced in ((2, False), (3, True), (1, True)):
+            with pytest.raises(InputError, match="every sample"):
+                make(n_states, reduced)
+
     def test_sample_lookup(self, sys5):
         traj = simulate(sys5, feedback_law(sys5), basis(1), 1.0, 0.01)
         assert traj.index_at(0.0) == 0
@@ -315,6 +330,7 @@ class TestReducedRecord:
         assert 30.0 / 0.01 > RING_ROWS  # the ring wraps
         full = simulate(sys, law, psi0, 30.0, 0.01)
         reduced = simulate(sys, law, psi0, 30.0, 0.01, states=False)
+        assert reduced.reduced and not full.reduced
         assert reduced.states.shape == (2, 5)
         for name in ("times", "fields", "lyapunov", "fidelity"):
             assert np.array_equal(getattr(reduced, name), getattr(full, name)), name

@@ -248,12 +248,18 @@ def test_fidelity_does_not_depend_on_the_ring(law):
 
 
 @pytest.mark.parametrize("dim", [2, 5, 16])
-def test_basis_target_fidelity_is_the_dot_product(dim):
-    # fidelity reads a basis target's column; the bits are those of the dot.
+def test_fidelity_is_the_per_row_dot_product(dim):
     rng = np.random.default_rng(dim)
     rows = np.array([random_unit_complex(rng, dim) for _ in range(300)])
     rows[:3, 0] = [0.0, -0.0, 0.5j]
+    # A basis target: the bits of the matrix-vector product, zeros added exactly.
     for k in range(dim):
         e = np.zeros(dim, dtype=np.complex128)
         e[k] = 1.0
-        assert np.array_equal(_kernels.fidelity(rows, e), np.abs(np.vecdot(e, rows)) ** 2)
+        assert np.array_equal(_kernels.fidelity(rows, e), np.abs(rows @ e) ** 2)
+    # Any target: each row's F is its own, whatever rows it is taken with.
+    target = random_unit_complex(rng, dim)
+    fid = _kernels.fidelity(rows, target)
+    assert np.max(np.abs(fid - np.abs(rows @ target.conj()) ** 2)) <= 1e-15
+    parts = [_kernels.fidelity(rows[a:b], target) for a, b in [(0, 1), (1, 7), (7, 300)]]
+    assert np.array_equal(np.concatenate(parts), fid)
