@@ -256,7 +256,7 @@ def test_fidelity_is_the_per_row_dot_product(dim):
     for k in range(dim):
         e = np.zeros(dim, dtype=np.complex128)
         e[k] = 1.0
-        assert np.array_equal(_kernels.fidelity(rows, e), np.abs(rows @ e) ** 2)
+        assert np.array_equal(_kernels.fidelity(rows, e), np.abs(rows @ e.conj()) ** 2)
     # Any target: each row's F is its own, whatever rows it is taken with.
     target = random_unit_complex(rng, dim)
     fid = _kernels.fidelity(rows, target)
